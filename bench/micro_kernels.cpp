@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
-#include "vf/core/batch_reconstruct.hpp"
 #include "vf/core/fcnn.hpp"
 #include "vf/geometry/delaunay.hpp"
 #include "vf/interp/methods.hpp"
@@ -66,7 +65,7 @@ BENCHMARK(BM_Gemm)->Arg(64)->Arg(256)->Arg(512);
 
 // Rectangular (m, n, k) shapes as they occur in training/inference:
 // 4096x512x256 is the headline blocked-vs-naive comparison shape, 256x512x23
-// is the trainer's first-layer minibatch, 8192x512x23 the streaming
+// is the trainer's first-layer minibatch, 8192x512x23 a large grid
 // inference tile. items_processed counts FLOPs so the reporter shows
 // GFLOP/s directly.
 void BM_GemmShaped(benchmark::State& state) {
@@ -220,34 +219,18 @@ vf::core::FcnnModel paper_arch_model() {
   return model;
 }
 
-// Whole-grid FCNN reconstruction (feature matrix materialised for every
-// void, batched predict) vs the streaming tiled path. items_per_second is
+// FCNN grid reconstruction swept over the tile size. items_per_second is
 // reconstructed grid points per second.
-void BM_FcnnReconstruct(benchmark::State& state) {
-  auto ds = vf::data::make_dataset("hurricane");
-  auto truth = ds->generate({48, 48, 12}, 24.0);
-  vf::sampling::ImportanceSampler sampler;
-  auto cloud = sampler.sample(truth, 0.02, 1);
-  // vf-lint: allow(api-facade) benchmarks the engine directly
-  vf::core::FcnnReconstructor rec(paper_arch_model());
-  for (auto _ : state) {
-    auto out = rec.reconstruct(cloud, truth.grid());
-    benchmark::DoNotOptimize(out.values().data());
-  }
-  state.SetItemsProcessed(state.iterations() * truth.size());
-}
-BENCHMARK(BM_FcnnReconstruct);
-
 void BM_BatchReconstruct(benchmark::State& state) {
   auto ds = vf::data::make_dataset("hurricane");
   auto truth = ds->generate({48, 48, 12}, 24.0);
   vf::sampling::ImportanceSampler sampler;
   auto cloud = sampler.sample(truth, 0.02, 1);
   // vf-lint: allow(api-facade) benchmarks the engine directly
-  vf::core::BatchReconstructor rec(
+  vf::core::FcnnReconstructor rec(
       paper_arch_model(),
-      vf::core::ReconstructOptions{static_cast<std::size_t>(state.range(0)),
-                                   5});
+      vf::core::ReconstructOptions{
+          .tile_size = static_cast<std::size_t>(state.range(0))});
   for (auto _ : state) {
     auto out = rec.reconstruct(cloud, truth.grid());
     benchmark::DoNotOptimize(out.values().data());

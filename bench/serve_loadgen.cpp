@@ -67,6 +67,14 @@ using vf::serve::RouterOptions;
 using vf::serve::ShardRouter;
 using Clock = std::chrono::steady_clock;
 
+/// Optimisation barrier in the style of benchmark::DoNotOptimize: the
+/// compiler must assume `value` is read and written here, so the timed
+/// loop that produced it can be neither elided nor hoisted.
+template <typename T>
+void do_not_optimize(T& value) {
+  asm volatile("" : "+r,m"(value) : : "memory");
+}
+
 /// Untrained paper-architecture model with identity normalisation — the
 /// serving path does not care whether the weights are trained, and the
 /// full-width network is what makes per-request inference expensive enough
@@ -257,7 +265,11 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> keys;
   keys.reserve(static_cast<std::size_t>(n_sessions));
-  for (int i = 0; i < n_sessions; ++i) keys.push_back("t" + std::to_string(i));
+  for (int i = 0; i < n_sessions; ++i) {
+    // Appended, not `"t" + std::to_string(i)`: that form trips a GCC 12
+    // -Wrestrict false positive once inlined here.
+    keys.emplace_back("t").append(std::to_string(i));
+  }
 
   const auto bounds = truth.grid().bounds();
   const Vec3 lo = bounds.min;
@@ -278,7 +290,8 @@ int main(int argc, char** argv) {
         static_cast<double>(r.latencies_ms.size());
     capacity[i] = r.seconds > 0.0 ? completed / r.seconds : 0.0;
     vf::obs::BenchPhase phase;
-    phase.name = "saturate_" + std::to_string(sweep[i]) + "shard";
+    phase.name = "saturate_";
+    phase.name.append(std::to_string(sweep[i])).append("shard");
     phase.wall_seconds = r.seconds;
     phase.items = completed;
     rec.add_phase(phase);
@@ -361,7 +374,7 @@ int main(int argc, char** argv) {
       line += buf;
     }
     line += "]}";
-    volatile std::size_t sink = 0;
+    std::size_t sink = 0;
     {
       const auto t0 = Clock::now();
       for (int i = 0; i < wire_iters; ++i) {
@@ -369,6 +382,7 @@ int main(int argc, char** argv) {
         std::string error;
         if (!wire::parse_request(line, parsed, error)) return 1;
         sink += wire::render_json(resp).size();
+        do_not_optimize(sink);
       }
       const double s = std::chrono::duration<double>(Clock::now() - t0).count();
       ndjson_ops = s > 0.0 ? wire_iters / s : 0.0;
@@ -390,6 +404,7 @@ int main(int argc, char** argv) {
           return 1;
         }
         sink += wire::encode_response_frame(resp).size();
+        do_not_optimize(sink);
       }
       const double s = std::chrono::duration<double>(Clock::now() - t0).count();
       binary_ops = s > 0.0 ? wire_iters / s : 0.0;

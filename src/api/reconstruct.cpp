@@ -1,6 +1,5 @@
 #include "vf/api/reconstruct.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -60,65 +59,16 @@ bool is_fcnn(Method m) {
 
 }  // namespace
 
-std::size_t predict_points(const FcnnModel& model,
-                           const vf::spatial::NeighborIndex& index,
-                           const std::vector<double>& values,
-                           const Vec3* points, std::size_t count, double* out,
-                           PointScratch& scratch, int repair_neighbors,
-                           std::vector<std::size_t>* repaired_rows,
-                           const vf::nn::QuantizedNetwork* qnet) {
-  if (count == 0) return 0;
-  vf::core::extract_features_into(index, values, points, count, scratch.X,
-                                  scratch.features);
-  model.in_norm.apply(scratch.X);
-  if (qnet != nullptr && !qnet->empty()) {
-    qnet->infer(scratch.X, scratch.Y, scratch.quant);
-  } else {
-    model.net.infer(scratch.X, scratch.Y, scratch.infer);
-  }
-  const double scale = model.out_norm.stddev[0];
-  const double shift = model.out_norm.mean[0];
-  std::size_t degraded = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const double y = scratch.Y(i, 0) * scale + shift;
-    if (std::isfinite(y)) {
-      out[i] = y;
-    } else {
-      out[i] = vf::core::shepard_estimate(index, values, points[i],
-                                          repair_neighbors);
-      ++degraded;
-      if (repaired_rows != nullptr) repaired_rows->push_back(i);
-    }
-  }
-  return degraded;
-}
-
 struct Reconstructor::Impl {
-  /// Owned copy of the model once resolved (loaded from disk, or cloned
-  /// from the borrowed pointer so later engine construction can't dangle).
-  FcnnModel model;
-  bool model_ready = false;
-
-  std::unique_ptr<vf::core::BatchReconstructor> stream;
-  std::unique_ptr<vf::core::FcnnReconstructor> full;
+  /// The resolved model (loaded from disk, or cloned from the borrowed
+  /// pointer so the cache can't dangle), compiled for engine.quant.
+  std::shared_ptr<const vf::core::CompiledModel> model;
+  std::unique_ptr<vf::core::FcnnReconstructor> engine;
   std::unique_ptr<vf::interp::Reconstructor> classical;
   vf::interp::Method classical_method{};
-
-  /// Point-mode cache: scrubbed cloud + neighbour index, keyed like the
-  /// core engines on the source cloud's buffer identity.
-  SampleCloud bound;
-  std::unique_ptr<vf::spatial::NeighborIndex> index;
-  vf::spatial::IndexKind bound_kind = vf::spatial::IndexKind::Auto;
-  const void* cloud_key = nullptr;
-  const void* values_key = nullptr;
-  std::size_t cloud_count = 0;
-  std::size_t scrub_nonfinite = 0;
-  std::size_t scrub_duplicates = 0;
+  /// The last bound cloud, shared by grid and point mode.
+  std::shared_ptr<const vf::core::BoundCloud> bound;
   PointScratch scratch;
-
-  /// Quantized copy of the resolved model for the point-mode fast path,
-  /// built lazily on first use when engine options ask for it.
-  vf::nn::QuantizedNetwork qnet;
 };
 
 Reconstructor::Reconstructor(ReconstructOptions options)
@@ -128,20 +78,25 @@ Reconstructor::~Reconstructor() = default;
 Reconstructor::Reconstructor(Reconstructor&&) noexcept = default;
 Reconstructor& Reconstructor::operator=(Reconstructor&&) noexcept = default;
 
-const FcnnModel& Reconstructor::model() {
-  if (!impl_->model_ready) {
+const std::shared_ptr<const vf::core::CompiledModel>&
+Reconstructor::compiled() {
+  if (!impl_->model) {
+    FcnnModel m;
     if (options_.model != nullptr) {
-      impl_->model = options_.model->clone();
+      m = options_.model->clone();
     } else if (!options_.model_path.empty()) {
-      impl_->model = FcnnModel::load(options_.model_path);
+      m = FcnnModel::load(options_.model_path);
     } else {
       throw std::invalid_argument(
           "vf::api::Reconstructor: FCNN method needs a model or model_path");
     }
-    impl_->model_ready = true;
+    impl_->model = std::make_shared<const vf::core::CompiledModel>(
+        std::move(m), options_.engine.quant);
   }
   return impl_->model;
 }
+
+const FcnnModel& Reconstructor::model() { return compiled()->model(); }
 
 namespace {
 
@@ -170,19 +125,16 @@ ReconstructResult Reconstructor::reconstruct(const SampleCloud& cloud,
         options_.model_path, cloud, grid, result.report, options_.fallback,
         options_.engine);
     result.stats.method = "resilient";
-  } else if (method == Method::Fcnn) {
-    if (!impl_->full) {
-      impl_->full = std::make_unique<vf::core::FcnnReconstructor>(
-          model().clone(), options_.engine);
+  } else if (is_fcnn(method)) {
+    if (!impl_->engine) {
+      impl_->engine = std::make_unique<vf::core::FcnnReconstructor>(
+          compiled(), options_.engine);
     }
-    result.field = impl_->full->reconstruct(cloud, grid, result.report);
-    result.stats.method = to_string(method);
-  } else if (method == Method::FcnnStream) {
-    if (!impl_->stream) {
-      impl_->stream = std::make_unique<vf::core::BatchReconstructor>(
-          model().clone(), options_.engine);
-    }
-    result.field = impl_->stream->reconstruct(cloud, grid, result.report);
+    impl_->bound = vf::core::BoundCloud::rebind(
+        impl_->bound, cloud, options_.engine.index,
+        static_cast<std::size_t>(grid.point_count()));
+    result.field = impl_->engine->reconstruct(*impl_->bound, grid,
+                                              result.report);
     result.stats.method = to_string(method);
   } else {
     const auto im = interp_method(method);
@@ -215,56 +167,21 @@ ReconstructResult Reconstructor::reconstruct_points(
         to_string(method));
   }
 
+  // Auto resolves the index kind against this call's query count and
+  // rebinds only when the selection flips.
+  impl_->bound = vf::core::BoundCloud::rebind(
+      impl_->bound, cloud, options_.engine.index, points.size());
+  const auto& bound = *impl_->bound;
   ReconstructResult result;
   result.report.input_points = cloud.size();
-
-  // Bind the cloud: scrub once, build the index once, reuse across calls.
-  // Keyed on both buffer addresses + size so a different cloud reusing
-  // the points allocation still rebinds; in-place mutation of a bound
-  // cloud stays undetected (documented on reconstruct_points). The index
-  // kind follows engine options; Auto resolves against this call's query
-  // count and rebinds only when the selection flips.
-  const void* key = static_cast<const void*>(cloud.points().data());
-  const void* vkey = static_cast<const void*>(cloud.values().data());
-  const bool same_cloud = key == impl_->cloud_key &&
-                          vkey == impl_->values_key &&
-                          cloud.size() == impl_->cloud_count;
-  vf::spatial::IndexKind want = options_.engine.index;
-  if (want == vf::spatial::IndexKind::Auto) {
-    want = vf::spatial::select_index_kind(
-        same_cloud ? impl_->bound.size() : cloud.size(), points.size());
-  }
-  if (!same_cloud || want != impl_->bound_kind || !impl_->index) {
-    VF_OBS_SPAN("tree_build");
-    if (!same_cloud) {
-      impl_->bound =
-          cloud.scrubbed(impl_->scrub_nonfinite, impl_->scrub_duplicates);
-    }
-    impl_->index = vf::spatial::build_index(impl_->bound.points(), want,
-                                            points.size());
-    impl_->bound_kind = want;
-    impl_->cloud_key = key;
-    impl_->values_key = vkey;
-    impl_->cloud_count = cloud.size();
-  }
-  result.report.scrubbed_nonfinite = impl_->scrub_nonfinite;
-  result.report.scrubbed_duplicates = impl_->scrub_duplicates;
-  const auto& values = impl_->bound.values();
+  result.report.scrubbed_nonfinite = bound.scrubbed_nonfinite();
+  result.report.scrubbed_duplicates = bound.scrubbed_duplicates();
 
   result.values.resize(points.size());
   if (is_fcnn(method)) {
-    const vf::nn::QuantizedNetwork* qnet = nullptr;
-    if (options_.engine.quant != vf::nn::QuantPolicy::None) {
-      if (impl_->qnet.empty()) {
-        impl_->qnet =
-            vf::nn::QuantizedNetwork(model().net, options_.engine.quant);
-      }
-      qnet = &impl_->qnet;
-    }
-    const std::size_t degraded = predict_points(
-        model(), *impl_->index, values, points.data(), points.size(),
-        result.values.data(), impl_->scratch,
-        options_.engine.repair_neighbors, nullptr, qnet);
+    const std::size_t degraded =
+        predict_points(*compiled(), bound, points.data(), points.size(),
+                       result.values.data(), impl_->scratch);
     result.report.predicted_points = points.size() - degraded;
     result.report.degraded_points = degraded;
     if (degraded > 0) {
@@ -274,8 +191,8 @@ ReconstructResult Reconstructor::reconstruct_points(
   } else {
     const int k = method == Method::Nearest ? 1 : vf::core::kNeighbors;
     for (std::size_t i = 0; i < points.size(); ++i) {
-      result.values[i] =
-          vf::core::shepard_estimate(*impl_->index, values, points[i], k);
+      result.values[i] = vf::core::shepard_estimate(
+          bound.index(), bound.values(), points[i], k);
     }
     result.report.predicted_points = points.size();
   }

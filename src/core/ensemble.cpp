@@ -56,9 +56,13 @@ EnsembleResult EnsembleReconstructor::reconstruct(const SampleCloud& cloud,
   std::vector<double> sum(static_cast<std::size_t>(n), 0.0);
   std::vector<double> sumsq(static_cast<std::size_t>(n), 0.0);
 
+  // One binding serves every member.
+  const BoundCloud bound(cloud, vf::spatial::IndexKind::Auto,
+                         static_cast<std::size_t>(n));
+  ReconstructReport report;
   for (auto& model : members_) {
     FcnnReconstructor rec(model.clone());
-    auto field = rec.reconstruct(cloud, grid);
+    auto field = rec.reconstruct(bound, grid, report);
     for (std::int64_t i = 0; i < n; ++i) {
       sum[static_cast<std::size_t>(i)] += field[i];
       sumsq[static_cast<std::size_t>(i)] += field[i] * field[i];

@@ -5,10 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "vf/core/resilient.hpp"
 #include "vf/obs/obs.hpp"
 #include "vf/util/env.hpp"
-#include "vf/util/parallel.hpp"
 #include "vf/util/rng.hpp"
 #include "vf/util/timer.hpp"
 
@@ -16,6 +14,7 @@ namespace vf::core {
 
 using vf::field::ScalarField;
 using vf::field::UniformGrid3;
+using vf::field::Vec3;
 using vf::nn::Matrix;
 using vf::sampling::SampleCloud;
 using vf::sampling::Sampler;
@@ -70,20 +69,6 @@ Matrix vstack(const std::vector<Matrix>& parts) {
   return out;
 }
 
-/// Feature matrix for grid points named by `indices` against a prebuilt
-/// index (FeatureRequest assembly in one place for the four call sites).
-Matrix grid_features(const vf::spatial::NeighborIndex& index,
-                     const std::vector<double>& values,
-                     const UniformGrid3& grid,
-                     const std::vector<std::int64_t>& indices) {
-  FeatureRequest req;
-  req.tree = &index;
-  req.values = &values;
-  req.grid = &grid;
-  req.indices = &indices;
-  return extract_features(req);
-}
-
 /// Keep a random subset of rows (same permutation applied to X and Y).
 void subset_rows(Matrix& X, Matrix& Y, std::size_t keep, std::uint64_t seed) {
   if (keep >= X.rows()) return;
@@ -114,12 +99,13 @@ TrainingSet build_training_set(const ScalarField& truth,
   for (double frac : config.train_fractions) {
     SampleCloud cloud = sampler.sample(truth, frac, seed++);
     auto voids = cloud.void_indices();
-    // One explicit index per sampled cloud, shared by every feature query
-    // of this fraction rather than rebuilt inside extract_features. The
-    // void sweep is dense, so Auto resolves to the grid-hash.
-    auto index = vf::spatial::build_index(
-        cloud.points(), vf::spatial::IndexKind::Auto, voids.size());
-    xs.push_back(grid_features(*index, cloud.values(), truth.grid(), voids));
+    // One index per sampled cloud; the void sweep is dense, so Auto
+    // resolves to the grid-hash.
+    FeatureRequest req;
+    req.cloud = &cloud;
+    req.grid = &truth.grid();
+    req.indices = &voids;
+    xs.push_back(extract_features(req));
     ys.push_back(extract_targets(truth, voids, config.with_gradients));
   }
   TrainingSet set{vstack(xs), vstack(ys)};
@@ -226,53 +212,100 @@ vf::nn::TrainHistory fine_tune(FcnnModel& model, const ScalarField& truth,
 
 FcnnReconstructor::FcnnReconstructor(FcnnModel model,
                                      const ReconstructOptions& opts)
-    : model_(std::move(model)), opts_(opts) {
-  if (opts_.quant != vf::nn::QuantPolicy::None) {
-    // Quantize once; every reconstruct shares the immutable packed weights.
-    qnet_ = vf::nn::QuantizedNetwork(model_.net, opts_.quant);
-  }
+    : FcnnReconstructor(
+          std::make_shared<const CompiledModel>(std::move(model), opts.quant),
+          opts) {}
+
+FcnnReconstructor::FcnnReconstructor(
+    std::shared_ptr<const CompiledModel> model, const ReconstructOptions& opts)
+    : model_(std::move(model)),
+      tile_(std::max<std::size_t>(1, opts.tile_size)),
+      index_opt_(opts.index) {
+  if (!model_) throw std::invalid_argument("FcnnReconstructor: null model");
 }
 
-const vf::spatial::NeighborIndex& FcnnReconstructor::bound_index(
-    const SampleCloud& cloud, std::size_t expected_queries) {
-  const void* key = static_cast<const void*>(cloud.points().data());
-  const bool same_cloud = key == tree_key_ && cloud.size() == tree_count_;
-  vf::spatial::IndexKind want = opts_.index;
-  if (want == vf::spatial::IndexKind::Auto) {
-    want = vf::spatial::select_index_kind(
-        same_cloud ? bound_.size() : cloud.size(), expected_queries);
+const BoundCloud& FcnnReconstructor::bind(const SampleCloud& cloud,
+                                          const UniformGrid3& grid) {
+  // The engine sweeps (nearly) every grid point, so the grid size is the
+  // query count Auto resolves against.
+  auto next = BoundCloud::rebind(bound_, cloud, index_opt_,
+                                 static_cast<std::size_t>(grid.point_count()));
+  if (next != bound_) {
+    ++tree_builds_;
+    bound_ = std::move(next);
   }
-  if (!same_cloud || want != bound_kind_ || !index_) {
-    VF_OBS_SPAN("tree_build");
-    VF_OBS_COUNT("core.reconstruct.tree_builds", 1);
-    if (!same_cloud) {
-      // Scrub once per bound cloud: the scrubbed copy is what the index,
-      // the feature queries, and the value pinning all see.
-      bound_ = cloud.scrubbed(scrub_nonfinite_, scrub_duplicates_);
+  return *bound_;
+}
+
+std::size_t FcnnReconstructor::sweep(const BoundCloud& cloud,
+                                     const UniformGrid3& grid,
+                                     const std::int64_t* targets,
+                                     std::int64_t n, ScalarField& scalar,
+                                     vf::field::GradientField* gradient) {
+  if (cloud.size() < static_cast<std::size_t>(kNeighbors)) {
+    throw std::invalid_argument(
+        "FcnnReconstructor: fewer usable samples than the feature stencil");
+  }
+  const auto tile = static_cast<std::int64_t>(tile_);
+  const std::int64_t tiles = (n + tile - 1) / tile;
+  const Normalizer& norm = model_->model().out_norm;
+  std::size_t peak = 0;
+  std::size_t repaired = 0;
+  // vf-par: per-thread-scratch — each thread owns its PredictScratch and
+  // staging; tiles write disjoint grid indices; the peak and repair-count
+  // merges are inside omp critical.
+#pragma omp parallel
+  {
+    PredictScratch ps;
+    std::vector<Vec3> queries;
+    std::vector<double> values;
+    std::size_t local_peak = 0;
+    std::size_t local_repaired = 0;
+#pragma omp for schedule(dynamic)
+    for (std::int64_t t = 0; t < tiles; ++t) {
+      VF_OBS_HIST_TIMER("core.reconstruct.tile_seconds");
+      const std::int64_t b = t * tile;
+      const auto count = static_cast<std::size_t>(std::min(n, b + tile) - b);
+      queries.resize(count);
+      values.resize(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::int64_t at = b + static_cast<std::int64_t>(i);
+        queries[i] = grid.position(targets ? targets[at] : at);
+      }
+      // Inside this parallel region the kernel's own OpenMP regions
+      // serialise (nested parallelism is off), so each tile is one
+      // thread's sequential pipeline.
+      local_repaired += predict_points(*model_, cloud, queries.data(), count,
+                                       values.data(), ps);
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::int64_t at = b + static_cast<std::int64_t>(i);
+        const std::int64_t g = targets ? targets[at] : at;
+        scalar[g] = values[i];
+        if (gradient != nullptr) {
+          gradient->dx[g] = ps.Y(i, 1) * norm.stddev[1] + norm.mean[1];
+          gradient->dy[g] = ps.Y(i, 2) * norm.stddev[2] + norm.mean[2];
+          gradient->dz[g] = ps.Y(i, 3) * norm.stddev[3] + norm.mean[3];
+        }
+      }
+      // Vec3 counts as 3 doubles.
+      local_peak = std::max(local_peak, ps.element_count() +
+                                            3 * queries.capacity() +
+                                            values.capacity());
     }
-    index_ =
-        vf::spatial::build_index(bound_.points(), want, expected_queries);
-    bound_kind_ = want;
-    tree_key_ = key;
-    tree_count_ = cloud.size();
+#pragma omp critical
+    {
+      peak = std::max(peak, local_peak);
+      repaired += local_repaired;
+    }
   }
-  return *index_;
-}
-
-Matrix FcnnReconstructor::predict(Matrix X) {
-  if (opts_.quant == vf::nn::QuantPolicy::None) return model_.predict(X);
-  model_.in_norm.apply(X);
-  Matrix Y;
-  vf::nn::QuantScratch scratch;
-  qnet_.infer(X, Y, scratch);  // streams rows in cache-sized chunks
-  model_.out_norm.invert(Y);
-  return Y;
+  peak_scratch_elements_ = std::max(peak_scratch_elements_, peak);
+  return repaired;
 }
 
 FcnnReconstructor::FullReconstruction
 FcnnReconstructor::reconstruct_with_gradients(const SampleCloud& cloud,
                                               const UniformGrid3& grid) {
-  if (!model_.with_gradients) {
+  if (!model_->model().with_gradients) {
     throw std::logic_error(
         "reconstruct_with_gradients: model has scalar-only outputs");
   }
@@ -281,32 +314,13 @@ FcnnReconstructor::reconstruct_with_gradients(const SampleCloud& cloud,
       ScalarField(grid, "fcnn"),
       {ScalarField(grid, "fcnn_dx"), ScalarField(grid, "fcnn_dy"),
        ScalarField(grid, "fcnn_dz")}};
-
-  // Predict all four outputs at every grid point, then pin sampled points'
-  // scalars to their stored values when the grids match.
-  std::vector<std::int64_t> all(static_cast<std::size_t>(grid.point_count()));
-  std::iota(all.begin(), all.end(), 0);
-  const auto& index =
-      bound_index(cloud, static_cast<std::size_t>(grid.point_count()));
-  Matrix X, Y;
-  {
-    VF_OBS_SPAN("extract_features");
-    X = grid_features(index, bound_.values(), grid, all);
-  }
-  {
-    VF_OBS_SPAN("inference");
-    Y = predict(std::move(X));
-  }
-  vf::util::parallel_for(0, grid.point_count(), [&](std::int64_t i) {
-    auto r = static_cast<std::size_t>(i);
-    out.scalar[i] = Y(r, 0);
-    out.gradient.dx[i] = Y(r, 1);
-    out.gradient.dy[i] = Y(r, 2);
-    out.gradient.dz[i] = Y(r, 3);
-  });
-  if (bound_.has_grid() && bound_.grid() == grid) {
-    const auto& kept = bound_.kept_indices();
-    const auto& vals = bound_.values();
+  const BoundCloud& bound = bind(cloud, grid);
+  (void)sweep(bound, grid, nullptr, grid.point_count(), out.scalar,
+              &out.gradient);
+  const auto& scrubbed = bound.cloud();
+  if (scrubbed.has_grid() && scrubbed.grid() == grid) {
+    const auto& kept = scrubbed.kept_indices();
+    const auto& vals = scrubbed.values();
     for (std::size_t i = 0; i < kept.size(); ++i) {
       out.scalar[kept[i]] = vals[i];
     }
@@ -323,72 +337,38 @@ ScalarField FcnnReconstructor::reconstruct(const SampleCloud& cloud,
 ScalarField FcnnReconstructor::reconstruct(const SampleCloud& cloud,
                                            const UniformGrid3& grid,
                                            ReconstructReport& report) {
-  report = ReconstructReport{};
-  report.input_points = cloud.size();
+  return reconstruct(bind(cloud, grid), grid, report);
+}
+
+ScalarField FcnnReconstructor::reconstruct(const BoundCloud& cloud,
+                                           const UniformGrid3& grid,
+                                           ReconstructReport& report) {
   VF_OBS_SPAN("fcnn_reconstruct");
   VF_OBS_COUNT("core.reconstruct.calls", 1);
-  const auto& index =
-      bound_index(cloud, static_cast<std::size_t>(grid.point_count()));
-  report.scrubbed_nonfinite = scrub_nonfinite_;
-  report.scrubbed_duplicates = scrub_duplicates_;
+  report = ReconstructReport{};
+  report.input_points = cloud.input_points();
+  report.scrubbed_nonfinite = cloud.scrubbed_nonfinite();
+  report.scrubbed_duplicates = cloud.scrubbed_duplicates();
 
   ScalarField out(grid, "fcnn");
-  const bool same_grid = bound_.has_grid() && bound_.grid() == grid;
-
-  // Write Y's scalar column to the targeted indices, replacing any
-  // non-finite prediction with a Shepard estimate from the scrubbed
-  // samples; the repair is accounted as a degraded point.
-  auto write_scalar = [&](const std::vector<std::int64_t>& targets,
-                          const Matrix& Y) {
-    vf::util::parallel_for(
-        0, static_cast<std::int64_t>(targets.size()), [&](std::int64_t i) {
-          out[targets[static_cast<std::size_t>(i)]] =
-              Y(static_cast<std::size_t>(i), 0);
-        });
-    std::size_t degraded = 0;
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      if (std::isfinite(Y(i, 0))) continue;
-      out[targets[i]] = shepard_estimate(index, bound_.values(),
-                                         grid.position(targets[i]),
-                                         opts_.repair_neighbors);
-      ++degraded;
-    }
-    report.predicted_points += targets.size() - degraded;
-    report.degraded_points += degraded;
-  };
-
+  const auto& scrubbed = cloud.cloud();
+  // Prediction targets: the void indices when the grids match (sampled
+  // points are pinned to their stored values), every grid point otherwise.
+  std::vector<std::int64_t> voids;
+  const bool same_grid = scrubbed.has_grid() && scrubbed.grid() == grid;
   if (same_grid) {
-    // Sampled points keep their stored values; only voids are predicted.
-    auto voids = bound_.void_indices();
-    Matrix X, Y;
-    {
-      VF_OBS_SPAN("extract_features");
-      X = grid_features(index, bound_.values(), grid, voids);
-    }
-    {
-      VF_OBS_SPAN("inference");
-      Y = predict(std::move(X));
-    }
-    const auto& kept = bound_.kept_indices();
-    const auto& vals = bound_.values();
+    const auto& kept = scrubbed.kept_indices();
+    const auto& vals = scrubbed.values();
     for (std::size_t i = 0; i < kept.size(); ++i) out[kept[i]] = vals[i];
-    write_scalar(voids, Y);
-  } else {
-    // Foreign grid (e.g. upscaling): predict everywhere.
-    std::vector<std::int64_t> all(static_cast<std::size_t>(grid.point_count()));
-    std::iota(all.begin(), all.end(), 0);
-    Matrix X, Y;
-    {
-      VF_OBS_SPAN("extract_features");
-      X = grid_features(index, bound_.values(), grid, all);
-    }
-    {
-      VF_OBS_SPAN("inference");
-      Y = predict(std::move(X));
-    }
-    write_scalar(all, Y);
+    voids = scrubbed.void_indices();
   }
-  if (report.degraded_points > 0) {
+  const std::int64_t n = same_grid ? static_cast<std::int64_t>(voids.size())
+                                   : grid.point_count();
+  const std::size_t repaired =
+      sweep(cloud, grid, same_grid ? voids.data() : nullptr, n, out, nullptr);
+  report.predicted_points = static_cast<std::size_t>(n) - repaired;
+  report.degraded_points = repaired;
+  if (repaired > 0) {
     report.fallback = FallbackReason::NonFiniteOutput;
     report.detail = "network produced non-finite outputs";
   }

@@ -12,7 +12,8 @@
 //                  so later timesteps can be stored as small weight deltas.
 //   FcnnReconstructor — once trained, reconstruction is a batched forward
 //                  pass over all void locations: constant time in the
-//                  sampling fraction (paper Fig 10).
+//                  sampling fraction (paper Fig 10), streamed in tiles
+//                  through the shared kernel of vf/core/predict.hpp.
 
 #include <cstdint>
 #include <memory>
@@ -20,11 +21,10 @@
 
 #include "vf/core/model.hpp"
 #include "vf/core/options.hpp"
+#include "vf/core/predict.hpp"
 #include "vf/core/report.hpp"
-#include "vf/nn/quant.hpp"
 #include "vf/nn/trainer.hpp"
 #include "vf/sampling/samplers.hpp"
-#include "vf/spatial/neighbor_index.hpp"
 
 namespace vf::core {
 
@@ -106,13 +106,32 @@ vf::nn::TrainHistory fine_tune(FcnnModel& model,
                                const FcnnConfig& config, FineTuneMode mode,
                                int epochs, bool refit_normalization = false);
 
-/// Reconstruct a full grid from a sample cloud with a trained model.
-/// When the cloud was sampled from the same grid, sampled points keep their
-/// exact stored values and only void locations are predicted; otherwise
-/// (e.g. upscaling onto a finer grid) every grid point is predicted.
+/// Reconstruct a full grid from a sample cloud with a trained model: the
+/// one grid engine. Grid points stream through fixed-size tiles
+/// (ReconstructOptions::tile_size), each tile one predict_points call on
+/// one OpenMP thread's scratch, so peak scratch memory is O(tile) rather
+/// than O(grid). When the cloud was sampled from the same grid, sampled
+/// points keep their exact stored values and only void locations are
+/// predicted; otherwise (e.g. upscaling onto a finer grid) every grid point
+/// is predicted. Results do not depend on the tile size or thread count.
 class FcnnReconstructor {
  public:
+  /// Default tile: 2048 rows keeps the widest activation buffer
+  /// (2048 x 512 doubles = 8 MB) within reach of the outer cache levels
+  /// while still amortising per-tile setup; the BM_BatchReconstruct tile
+  /// sweep in bench/micro_kernels picked it over 1024/4096/8192.
+  static constexpr std::size_t kDefaultTile = 2048;
+  static_assert(ReconstructOptions{}.tile_size == kDefaultTile,
+                "ReconstructOptions::tile_size default must track "
+                "FcnnReconstructor::kDefaultTile");
+
+  /// Compiles `model` for opts.quant (throws std::invalid_argument when
+  /// the model lacks normalisation constants).
   explicit FcnnReconstructor(FcnnModel model,
+                             const ReconstructOptions& opts = {});
+  /// Share an already compiled model (its quantization wins over
+  /// opts.quant).
+  explicit FcnnReconstructor(std::shared_ptr<const CompiledModel> model,
                              const ReconstructOptions& opts = {});
 
   [[nodiscard]] std::string name() const { return "fcnn"; }
@@ -125,15 +144,24 @@ class FcnnReconstructor {
   /// or coordinates, duplicated positions) are scrubbed on ingest, and any
   /// non-finite network output is replaced per point by a Shepard estimate
   /// from the scrubbed samples; `report` records every such decision. The
-  /// two-argument overload delegates here and discards the report.
+  /// cloud's binding is cached across calls (see BoundCloud::rebind).
   [[nodiscard]] vf::field::ScalarField reconstruct(
       const vf::sampling::SampleCloud& cloud,
       const vf::field::UniformGrid3& grid, ReconstructReport& report);
 
-  /// Scalar + predicted gradient components in one pass. Only valid for
-  /// models trained with gradient outputs (throws otherwise). At sampled
-  /// grid points the scalar is pinned to the stored value while gradients
-  /// remain the network's prediction.
+  /// The engine proper, over a caller-held binding (shared by ensemble
+  /// members, the facade, the resilient path). Throws
+  /// std::invalid_argument when fewer than kNeighbors samples survived
+  /// scrubbing.
+  [[nodiscard]] vf::field::ScalarField reconstruct(
+      const BoundCloud& cloud, const vf::field::UniformGrid3& grid,
+      ReconstructReport& report);
+
+  /// Scalar + predicted gradient components from the same tiles, every
+  /// grid point predicted. Only valid for models trained with gradient
+  /// outputs (throws otherwise). At sampled grid points the scalar is
+  /// pinned to the stored value while gradients remain the network's
+  /// prediction.
   struct FullReconstruction {
     vf::field::ScalarField scalar;
     vf::field::GradientField gradient;
@@ -142,41 +170,40 @@ class FcnnReconstructor {
       const vf::sampling::SampleCloud& cloud,
       const vf::field::UniformGrid3& grid);
 
-  [[nodiscard]] FcnnModel& model() { return model_; }
-  [[nodiscard]] const FcnnModel& model() const { return model_; }
+  [[nodiscard]] vf::nn::QuantPolicy quant_policy() const {
+    return model_->quant();
+  }
 
-  /// Kind of the currently bound neighbour index ("kdtree" / "grid_hash"),
-  /// or "none" before the first reconstruct.
-  [[nodiscard]] const char* index_kind() const {
-    return index_ ? index_->kind_name() : "none";
+  /// Index builds performed for the cached binding so far; a second
+  /// reconstruct of the same cloud must not increment this.
+  [[nodiscard]] std::size_t tree_builds() const { return tree_builds_; }
+
+  /// High-water mark of per-thread scratch (doubles) across all reconstruct
+  /// calls so far. Exposed so tests can assert the O(tile) memory bound.
+  [[nodiscard]] std::size_t peak_scratch_elements() const {
+    return peak_scratch_elements_;
   }
 
  private:
-  /// Neighbour index over `cloud`'s scrubbed points, rebuilt only when the
-  /// cloud changes (keyed on the points buffer identity) or the selection
-  /// policy picks a different kind for this workload. Repeated
-  /// reconstructions of the same sampling — the Fig 10 timing loop,
-  /// upscaling to several grids — skip the scrub and the build after the
-  /// first call.
-  const vf::spatial::NeighborIndex& bound_index(
-      const vf::sampling::SampleCloud& cloud, std::size_t expected_queries);
+  /// The cached binding of `cloud` for a sweep over `grid`.
+  const BoundCloud& bind(const vf::sampling::SampleCloud& cloud,
+                         const vf::field::UniformGrid3& grid);
 
-  /// Forward pass honouring opts_.quant: the fp64 Network path for None,
-  /// the packed single-precision GEMM otherwise. Consumes `X`.
-  [[nodiscard]] vf::nn::Matrix predict(vf::nn::Matrix X);
+  /// Predict `n` grid points (targets[i], or i itself when `targets` is
+  /// null) tile by tile into `scalar`, and into `gradient` when given.
+  /// Returns the number of repaired scalars.
+  std::size_t sweep(const BoundCloud& cloud,
+                    const vf::field::UniformGrid3& grid,
+                    const std::int64_t* targets, std::int64_t n,
+                    vf::field::ScalarField& scalar,
+                    vf::field::GradientField* gradient);
 
-  FcnnModel model_;
-  ReconstructOptions opts_;
-  /// Quantized once at construction when opts_.quant != None.
-  vf::nn::QuantizedNetwork qnet_;
-  std::unique_ptr<vf::spatial::NeighborIndex> index_;
-  vf::spatial::IndexKind bound_kind_ = vf::spatial::IndexKind::Auto;
-  /// Scrubbed copy of the bound cloud (the index/values the queries use).
-  vf::sampling::SampleCloud bound_;
-  std::size_t scrub_nonfinite_ = 0;
-  std::size_t scrub_duplicates_ = 0;
-  const void* tree_key_ = nullptr;
-  std::size_t tree_count_ = 0;
+  std::shared_ptr<const CompiledModel> model_;
+  std::size_t tile_;
+  vf::spatial::IndexKind index_opt_;
+  std::shared_ptr<const BoundCloud> bound_;
+  std::size_t tree_builds_ = 0;
+  std::size_t peak_scratch_elements_ = 0;
 };
 
 /// Internal helper, exposed for tests and benches: assemble the (X, Y)

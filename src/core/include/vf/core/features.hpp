@@ -23,7 +23,6 @@
 #include "vf/field/scalar_field.hpp"
 #include "vf/nn/matrix.hpp"
 #include "vf/sampling/sample_cloud.hpp"
-#include "vf/spatial/kdtree.hpp"
 #include "vf/spatial/neighbor_index.hpp"
 #include "vf/util/aligned.hpp"
 
@@ -52,8 +51,8 @@ struct Normalizer {
 
 /// Reusable SoA staging for batched neighbour queries: row i of the
 /// kNeighbors-wide `indices` / `dist2` arrays holds query i's neighbours.
-/// Owned per thread by the streaming engines so feature assembly performs
-/// no per-point (or per-tile, after warm-up) heap allocation.
+/// Owned per thread (inside PredictScratch) so feature assembly performs no
+/// per-point (or per-tile, after warm-up) heap allocation.
 struct FeatureScratch {
   vf::util::AlignedVector<std::uint32_t> indices;
   vf::util::AlignedVector<double> dist2;
@@ -64,15 +63,12 @@ struct FeatureScratch {
   }
 };
 
-/// One request describing a feature-extraction job. Replaces the old
-/// three-way overload family (cloud x positions, cloud x grid indices,
-/// prebuilt tree x positions) with a single options-struct entry point.
+/// One request describing a feature-extraction job.
 ///
 /// Exactly one sample source and exactly one query shape must be set:
 ///   source:  `cloud`                         (an index is built per call)
-///            `tree` + `values`               (prebuilt, the hot repeated-
-///                                             query path: trainer loops,
-///                                             streaming tiles, serving)
+///            `tree` + `values`               (prebuilt, for repeated
+///                                             queries against one cloud)
 ///   queries: `points`                        (arbitrary positions)
 ///            `grid` + `indices`              (grid points by linear index)
 struct FeatureRequest {
@@ -90,28 +86,12 @@ struct FeatureRequest {
 /// under-specified request.
 vf::nn::Matrix extract_features(const FeatureRequest& req);
 
-/// Deprecated overload shims (one PR of grace): forward to the
-/// FeatureRequest entry point above.
-[[deprecated("use extract_features(FeatureRequest) instead")]]
-vf::nn::Matrix extract_features(const vf::sampling::SampleCloud& cloud,
-                                const std::vector<vf::field::Vec3>& queries);
-
-[[deprecated("use extract_features(FeatureRequest) instead")]]
-vf::nn::Matrix extract_features(const vf::sampling::SampleCloud& cloud,
-                                const vf::field::UniformGrid3& grid,
-                                const std::vector<std::int64_t>& indices);
-
-[[deprecated("use extract_features(FeatureRequest) instead")]]
-vf::nn::Matrix extract_features(const vf::spatial::KdTree& tree,
-                                const std::vector<double>& values,
-                                const std::vector<vf::field::Vec3>& queries);
-
 /// Allocation-free core: fills `X` (resized to count x 23) from `count`
 /// query positions. The batched neighbour query stages into `scratch` in
 /// SoA layout, then rows are assembled in a second vectorisable pass — no
 /// per-point allocation. Internally parallel, but safe to call from inside
 /// an active OpenMP region (the nested region serialises), which is how the
-/// per-tile streaming path uses it.
+/// per-tile grid engine uses it.
 void extract_features_into(const vf::spatial::NeighborIndex& index,
                            const std::vector<double>& values,
                            const vf::field::Vec3* queries, std::size_t count,

@@ -1,12 +1,7 @@
 #pragma once
-// Options structs for the reconstruction entry points.
-//
-// The reconstruction engines used to be configured through positional
-// constructor arguments (tile sizes, repair ks) that drifted apart between
-// FcnnReconstructor, BatchReconstructor, and the resilient path. Everything
-// tunable now lives in one named-field struct consumed uniformly by the
-// concrete engines and the vf::api facade; the old positional constructors
-// remain as deprecated shims for one PR.
+// Options struct for the reconstruction entry points: one named-field
+// struct consumed uniformly by FcnnReconstructor, the resilient path and
+// the vf::api facade.
 
 #include <cstddef>
 
@@ -16,14 +11,10 @@
 namespace vf::core {
 
 struct ReconstructOptions {
-  /// Rows per streaming inference tile (BatchReconstructor): per-thread
-  /// scratch memory is O(tile_size), independent of the grid. Must match
-  /// BatchReconstructor::kDefaultTile (static_assert'd there).
+  /// Rows per inference tile (FcnnReconstructor): per-thread scratch
+  /// memory is O(tile_size), independent of the grid. Must match
+  /// FcnnReconstructor::kDefaultTile (static_assert'd there).
   std::size_t tile_size = 2048;
-
-  /// Neighbour count for the per-point Shepard repair of non-finite
-  /// network outputs (historically hard-wired to the feature stencil k).
-  int repair_neighbors = 5;
 
   /// Inference precision. None runs the fp64 Network::infer path; Fp32 /
   /// Fp16 / Int8 run the packed single-precision GEMM over pre-quantized

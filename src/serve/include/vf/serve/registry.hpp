@@ -1,11 +1,13 @@
 #pragma once
-// ModelRegistry — thread-safe LRU cache of per-timestep FCNN models.
+// ModelRegistry — thread-safe LRU cache of per-timestep FCNN models,
+// each compiled once at load (core::CompiledModel: weights plus, for a
+// quantized policy, the packed QuantizedNetwork every worker shares).
 //
 // The paper's Case 1/Case 2 workflow produces one fine-tuned model per
 // timestep; a long-running service cannot keep them all resident. The
 // registry maps a stable key ("t042") to a model file, loads lazily on
 // first resolve, and evicts least-recently-used models when either the
-// entry cap or the byte budget (FcnnModel::memory_bytes accounting) is
+// entry cap or the byte budget (CompiledModel::memory_bytes accounting) is
 // exceeded. Concurrent resolvers of the same cold key share a single
 // load via a shared_future instead of thundering-herding the disk; a
 // failed load is propagated to every waiter and leaves the entry
@@ -35,7 +37,8 @@
 #include <utility>
 #include <vector>
 
-#include "vf/core/model.hpp"
+#include "vf/core/predict.hpp"
+#include "vf/nn/quant.hpp"
 #include "vf/util/atomic_io.hpp"
 #include "vf/util/mutex.hpp"
 #include "vf/util/rng.hpp"
@@ -125,7 +128,10 @@ struct RegistryStats {
 
 class ModelRegistry {
  public:
-  explicit ModelRegistry(RegistryOptions options = {});
+  /// Models are compiled for `quant` at load (the owning Service passes
+  /// its ServiceOptions::quant).
+  explicit ModelRegistry(RegistryOptions options = {},
+                         vf::nn::QuantPolicy quant = vf::nn::QuantPolicy::None);
 
   /// Register `key` -> model file. Does not load. Re-registering an
   /// existing key updates the path, drops any resident model, resets the
@@ -147,7 +153,7 @@ class ModelRegistry {
   /// (missing/corrupt file, fault-injected "model_read" failures, or a
   /// loadable model whose normaliser shapes don't match the kFeatureDim
   /// feature pipeline).
-  [[nodiscard]] std::shared_ptr<const vf::core::FcnnModel> resolve(
+  [[nodiscard]] std::shared_ptr<const vf::core::CompiledModel> resolve(
       const std::string& key) VF_EXCLUDES(mu_);
 
   [[nodiscard]] RegistryStats stats() const VF_EXCLUDES(mu_);
@@ -162,7 +168,7 @@ class ModelRegistry {
   breaker_states() const VF_EXCLUDES(mu_);
 
  private:
-  using ModelPtr = std::shared_ptr<const vf::core::FcnnModel>;
+  using ModelPtr = std::shared_ptr<const vf::core::CompiledModel>;
 
   struct Entry {
     std::string path;
@@ -190,6 +196,7 @@ class ModelRegistry {
       VF_REQUIRES(mu_);
 
   RegistryOptions options_;  // immutable after construction
+  vf::nn::QuantPolicy quant_;
   mutable vf::util::Mutex mu_{"serve.registry"};
   /// Deterministic breaker-window jitter stream; engaged only when
   /// options_.shard_salt != 0 (constructed before the workers exist, so

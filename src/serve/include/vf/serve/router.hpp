@@ -17,8 +17,10 @@
 // Routing is health-aware: a draining shard (the `ready` verb's notion —
 // Service::draining()) or one an operator marked unhealthy is skipped and
 // the request walks clockwise to the next healthy shard. Sessions follow
-// a *versioned manifest*: add_session records (cloud, model path, version)
-// centrally and applies it eagerly to the home shard; when a request is
+// a *versioned manifest*: add_session binds the cloud once (one shared
+// core::BoundCloud per manifest version, scrubbed and indexed once for
+// every shard), records (binding, model path, version) centrally and
+// applies it eagerly to the home shard; when a request is
 // re-routed, the failover shard converges lazily — the router compares
 // the shard's applied version against the manifest and re-binds before
 // delegating, so replica registries converge after re-registration
@@ -165,7 +167,7 @@ class ShardRouter {
 
  private:
   struct ManifestEntry {
-    vf::sampling::SampleCloud cloud;
+    std::shared_ptr<const vf::core::BoundCloud> cloud;
     std::string model_path;
     std::uint64_t version = 0;
   };

@@ -6,10 +6,11 @@
 //                               │                 │
 //                         admission control   ModelRegistry (LRU + breaker)
 //                               │                 │
-//                           shed (Overloaded)  vf::api::predict_points
+//                           shed (Overloaded)  core::predict_points
 //
-// A session binds a sample cloud (scrubbed once, k-d tree built once) and
-// a model key; clients then submit point queries against the session.
+// A session binds a sample cloud (a shared core::BoundCloud: scrubbed
+// once, indexed once) and a model key; clients then submit point queries
+// against the session.
 // Workers coalesce concurrent same-session requests into dynamic
 // micro-batches that ride the fused Network::infer path — one feature
 // extraction + one GEMM per batch instead of per request. Each worker
@@ -39,6 +40,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "vf/core/predict.hpp"
 #include "vf/nn/quant.hpp"
 #include "vf/sampling/sample_cloud.hpp"
 #include "vf/serve/queue.hpp"
@@ -68,12 +70,10 @@ struct ServiceOptions {
   /// Default per-request deadline applied by submit()/query() when the
   /// caller passes none (zero = requests never expire).
   std::chrono::milliseconds default_deadline{0};
-  /// Neighbour count for classical estimates (repair + fallback).
-  int repair_neighbors = 5;
   /// Inference precision for served batches. None runs the fp64 Network
-  /// path; Fp32/Fp16/Int8 run the packed single-precision GEMM (each
-  /// worker quantizes the resolved model once and caches it, keyed on the
-  /// registry's model instance). Guarded by the SNR-regression suite.
+  /// path; Fp32/Fp16/Int8 run the packed single-precision GEMM (the
+  /// registry quantizes each model once at load and every worker shares
+  /// it). Guarded by the SNR-regression suite.
   vf::nn::QuantPolicy quant = vf::nn::QuantPolicy::None;
   /// Session index kind. Auto resolves against batch_max_points — serve
   /// micro-batches are sparse probes, so Auto keeps the exact k-d tree
@@ -127,6 +127,12 @@ class Service {
                    const vf::sampling::SampleCloud& cloud,
                    const std::string& model_path);
 
+  /// As above over an existing binding (ShardRouter shares one binding
+  /// across every shard).
+  void add_session(const std::string& key,
+                   std::shared_ptr<const vf::core::BoundCloud> cloud,
+                   const std::string& model_path);
+
   [[nodiscard]] bool has_session(const std::string& key) const;
 
   /// Asynchronous point query with the service-default deadline. Returns
@@ -178,9 +184,7 @@ class Service {
 
  private:
   struct Session {
-    vf::sampling::SampleCloud cloud;  // scrubbed
-    std::unique_ptr<vf::spatial::NeighborIndex> index;
-    std::vector<double> values;
+    std::shared_ptr<const vf::core::BoundCloud> cloud;
     /// Classical session (empty model_path): never touches the registry;
     /// every query runs the Shepard path with fallback:"classical".
     bool classical = false;

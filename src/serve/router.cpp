@@ -128,7 +128,9 @@ void ShardRouter::add_session(const std::string& key,
                               const vf::sampling::SampleCloud& cloud,
                               const std::string& model_path) {
   auto entry = std::make_shared<ManifestEntry>();
-  entry->cloud = cloud;
+  // Every shard's Service shares this one binding.
+  entry->cloud = std::make_shared<const vf::core::BoundCloud>(
+      cloud, options_.shard.index, options_.shard.batch_max_points);
   entry->model_path = model_path;
   {
     const vf::util::MutexLock lock(manifest_mu_);
@@ -165,9 +167,9 @@ void ShardRouter::converge_session(
   const vf::util::MutexLock lock(s.mu);
   auto it = s.applied.find(key);
   if (it != s.applied.end() && it->second >= entry->version) return;
-  // Stale (or never-bound) replica: re-bind before delegating. Holding
-  // the shard's bind mutex serialises concurrent convergers, so the
-  // scrub + index build runs once per (shard, version).
+  // Stale (or never-bound) replica: re-bind before delegating. The
+  // binding itself is shared; holding the shard's bind mutex serialises
+  // concurrent convergers so each (shard, version) applies once.
   s.service->add_session(key, entry->cloud, entry->model_path);
   s.applied[key] = entry->version;
   manifest_applies_.fetch_add(1, std::memory_order_relaxed);

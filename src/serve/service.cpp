@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "vf/api/reconstruct.hpp"
-#include "vf/core/features.hpp"
 #include "vf/core/resilient.hpp"
 #include "vf/obs/obs.hpp"
 #include "vf/util/fault.hpp"
@@ -22,12 +20,7 @@ struct WorkerScratch {
   std::vector<Vec3> points;
   std::vector<double> out;
   std::vector<std::size_t> repaired;
-  vf::api::PointScratch infer;
-  /// Quantized copy of the last resolved model (ServiceOptions::quant !=
-  /// None), keyed on the registry's model instance so a registry reload /
-  /// eviction triggers re-quantization.
-  vf::nn::QuantizedNetwork qnet;
-  const vf::core::FcnnModel* qnet_key = nullptr;
+  vf::core::PredictScratch infer;
 };
 
 namespace {
@@ -47,7 +40,7 @@ RegistryOptions shard_registry_options(const ServiceOptions& options) {
 
 Service::Service(ServiceOptions options)
     : options_(options),
-      registry_(shard_registry_options(options)),
+      registry_(shard_registry_options(options), options.quant),
       queue_(options.queue_max) {
   const std::size_t n = std::max<std::size_t>(1, options_.workers);
   workers_.reserve(n);
@@ -101,21 +94,26 @@ void Service::stop() { drain_impl(false, std::chrono::milliseconds(0)); }
 void Service::add_session(const std::string& key,
                           const vf::sampling::SampleCloud& cloud,
                           const std::string& model_path) {
-  auto session = std::make_shared<Session>();
-  std::size_t nonfinite = 0, duplicates = 0;
-  session->cloud = cloud.scrubbed(nonfinite, duplicates);
-  if (session->cloud.size() < static_cast<std::size_t>(vf::core::kNeighbors)) {
+  // Expected queries per lookup = one micro-batch; Auto typically keeps
+  // the exact k-d tree for serve's sparse-probe workload.
+  add_session(key,
+              std::make_shared<const vf::core::BoundCloud>(
+                  cloud, options_.index, options_.batch_max_points),
+              model_path);
+}
+
+void Service::add_session(const std::string& key,
+                          std::shared_ptr<const vf::core::BoundCloud> cloud,
+                          const std::string& model_path) {
+  if (cloud->size() < static_cast<std::size_t>(vf::core::kNeighbors)) {
     throw std::invalid_argument(
         "vf::serve: session '" + key + "' has " +
-        std::to_string(session->cloud.size()) +
+        std::to_string(cloud->size()) +
         " usable samples after scrubbing; need >= " +
         std::to_string(vf::core::kNeighbors) + " for k-NN features");
   }
-  // Expected queries per lookup = one micro-batch; Auto typically keeps
-  // the exact k-d tree for serve's sparse-probe workload.
-  session->index = vf::spatial::build_index(
-      session->cloud.points(), options_.index, options_.batch_max_points);
-  session->values = session->cloud.values();
+  auto session = std::make_shared<Session>();
+  session->cloud = std::move(cloud);
   if (model_path.empty()) {
     // Classical session: no model to register — the registry entry (and
     // its breaker) would only ever fail. serve_batch routes straight to
@@ -273,7 +271,7 @@ void Service::serve_batch(std::vector<PointRequest>& batch,
   // VF_FAULT_MODEL_READ injection inside FcnnModel::load, or an open
   // circuit breaker fast-failing the resolve) degrades the batch to the
   // classical estimator instead of failing the requests.
-  std::shared_ptr<const vf::core::FcnnModel> model;
+  std::shared_ptr<const vf::core::CompiledModel> model;
   if (!session->classical) {
     try {
       model = registry_.resolve(batch.front().key);
@@ -294,18 +292,9 @@ void Service::serve_batch(std::vector<PointRequest>& batch,
       if (vf::util::fault::should_fail("serve_infer")) {
         throw std::runtime_error("vf::serve: injected inference fault");
       }
-      const vf::nn::QuantizedNetwork* qnet = nullptr;
-      if (options_.quant != vf::nn::QuantPolicy::None) {
-        if (scratch.qnet_key != model.get()) {
-          scratch.qnet = vf::nn::QuantizedNetwork(model->net, options_.quant);
-          scratch.qnet_key = model.get();
-        }
-        qnet = &scratch.qnet;
-      }
-      degraded_total = vf::api::predict_points(
-          *model, *session->index, session->values, scratch.points.data(),
-          total, scratch.out.data(), scratch.infer,
-          options_.repair_neighbors, &scratch.repaired, qnet);
+      degraded_total = vf::core::predict_points(
+          *model, *session->cloud, scratch.points.data(), total,
+          scratch.out.data(), scratch.infer, &scratch.repaired);
     } catch (const std::exception&) {
       model = nullptr;
       scratch.repaired.clear();
@@ -318,10 +307,9 @@ void Service::serve_batch(std::vector<PointRequest>& batch,
       classical = true;
       fallback_batches_.fetch_add(1, std::memory_order_relaxed);
       for (std::size_t i = 0; i < total; ++i) {
-        scratch.out[i] =
-            vf::core::shepard_estimate(*session->index, session->values,
-                                       scratch.points[i],
-                                       options_.repair_neighbors);
+        scratch.out[i] = vf::core::shepard_estimate(
+            session->cloud->index(), session->cloud->values(),
+            scratch.points[i], vf::core::kNeighbors);
       }
       degraded_total = total;
     } catch (...) {

@@ -54,8 +54,10 @@ class NeighborIndex {
   /// The indexed points in the caller's original order.
   [[nodiscard]] virtual const std::vector<vf::field::Vec3>& points() const = 0;
 
-  /// k-NN without allocation: fills `out` sorted by ascending distance,
-  /// resized to min(k, size()); cleared when k <= 0 or the index is empty.
+  /// k-NN without allocation: fills `out` sorted by ascending (distance,
+  /// index) — equidistant samples break ties on the lower index, so every
+  /// implementation returns the same neighbours — resized to
+  /// min(k, size()); cleared when k <= 0 or the index is empty.
   virtual void knn(const vf::field::Vec3& query, int k,
                    std::vector<Neighbor>& out) const = 0;
 

@@ -154,7 +154,7 @@ void KdTree::search(std::uint32_t node_idx, const Vec3& q, double& worst,
               "KdTree: leaf range outside point storage");
     for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
       double d2 = dist2(points_storage_[i], q);
-      if (d2 < worst) visit(perm_[i], d2, worst);
+      if (d2 <= worst) visit(perm_[i], d2, worst);
     }
     return;
   }
@@ -162,12 +162,14 @@ void KdTree::search(std::uint32_t node_idx, const Vec3& q, double& worst,
   // Distance lower bounds to each child's slab on the split axis.
   double d_left = qc > node.split_lo ? qc - node.split_lo : 0.0;
   double d_right = qc < node.split_hi ? node.split_hi - qc : 0.0;
+  // `<=`, not `<`: a sample exactly at the current worst distance may
+  // still win its tie on index (see knn).
   if (d_left <= d_right) {
-    if (d_left * d_left < worst) search(node.left, q, worst, visit);
-    if (d_right * d_right < worst) search(node.right, q, worst, visit);
+    if (d_left * d_left <= worst) search(node.left, q, worst, visit);
+    if (d_right * d_right <= worst) search(node.right, q, worst, visit);
   } else {
-    if (d_right * d_right < worst) search(node.right, q, worst, visit);
-    if (d_left * d_left < worst) search(node.left, q, worst, visit);
+    if (d_right * d_right <= worst) search(node.right, q, worst, visit);
+    if (d_left * d_left <= worst) search(node.left, q, worst, visit);
   }
 }
 
@@ -179,12 +181,17 @@ void KdTree::knn(const Vec3& query, int k, std::vector<Neighbor>& out) const {
   double worst = std::numeric_limits<double>::infinity();
 
   // Sorted-array candidate set: k is small (5 in the paper pipeline), so
-  // insertion into a sorted vector beats a heap.
+  // insertion into a sorted vector beats a heap. Ties in distance break on
+  // the lower index — GridHashIndex's order — so both indexes return the
+  // same neighbours and every query path agrees bit for bit.
   auto visit = [&](std::uint32_t idx, double d2, double& w) {
     Neighbor nb{idx, d2};
-    auto pos = std::lower_bound(
-        out.begin(), out.end(), nb,
-        [](const Neighbor& a, const Neighbor& b) { return a.dist2 < b.dist2; });
+    auto pos = std::lower_bound(out.begin(), out.end(), nb,
+                                [](const Neighbor& a, const Neighbor& b) {
+                                  return a.dist2 != b.dist2
+                                             ? a.dist2 < b.dist2
+                                             : a.index < b.index;
+                                });
     out.insert(pos, nb);
     if (out.size() > static_cast<std::size_t>(k)) out.pop_back();
     if (out.size() == static_cast<std::size_t>(k)) w = out.back().dist2;
@@ -199,8 +206,10 @@ std::uint32_t KdTree::nearest(const Vec3& query) const {
   double worst = std::numeric_limits<double>::infinity();
   std::uint32_t best = 0;
   auto visit = [&](std::uint32_t idx, double d2, double& w) {
-    best = idx;
-    w = d2;
+    if (d2 < w || idx < best) {  // d2 == w: the lower index wins the tie
+      best = idx;
+      w = d2;
+    }
   };
   search(root_, query, worst, visit);
   return best;

@@ -5,12 +5,6 @@
 // missing/corrupt model still reconstructs without throwing, finite
 // everywhere, with the degradation visible in the report.
 
-// One case still exercises the deprecated TemporalPipeline shim's report
-// plumbing until the shim is removed.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 #include <cmath>
 #include <cstddef>
 #include <filesystem>
@@ -23,11 +17,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include "vf/core/batch_reconstruct.hpp"
 #include "vf/core/fcnn.hpp"
-#include "vf/core/pipeline.hpp"
 #include "vf/core/resilient.hpp"
 #include "vf/sampling/samplers.hpp"
+#include "vf/spatial/kdtree.hpp"
 
 namespace {
 
@@ -218,7 +211,7 @@ TEST_F(DegradeTest, FcnnReconstructorRepairsNonFiniteOutputs) {
   }
 }
 
-// ---- BatchReconstructor degradation ---------------------------------------
+// ---- degradation across many small tiles -----------------------------------
 
 TEST_F(DegradeTest, BatchReconstructorScrubsRottenSamples) {
   auto truth = make_truth();
@@ -228,7 +221,7 @@ TEST_F(DegradeTest, BatchReconstructorScrubsRottenSamples) {
   truth[kept[11]] = -kInf;
   const SampleCloud cloud(truth, kept);
 
-  vf::core::BatchReconstructor rec(
+  vf::core::FcnnReconstructor rec(
       trained_model().clone(), vf::core::ReconstructOptions{.tile_size = 64});
   ReconstructReport report;
   const auto out = rec.reconstruct(cloud, truth.grid(), report);
@@ -246,8 +239,8 @@ TEST_F(DegradeTest, BatchReconstructorRepairsNonFiniteOutputs) {
 
   auto broken = trained_model().clone();
   broken.out_norm.stddev[0] = kNaN;
-  vf::core::BatchReconstructor rec(std::move(broken),
-                                   vf::core::ReconstructOptions{.tile_size = 64});
+  vf::core::FcnnReconstructor rec(std::move(broken),
+                                  vf::core::ReconstructOptions{.tile_size = 64});
 
   ReconstructReport report;
   const auto out = rec.reconstruct(cloud, truth.grid(), report);
@@ -269,7 +262,7 @@ TEST_F(DegradeTest, BatchReconstructorRejectsCloudScrubbedBelowStencil) {
   std::vector<double> vals = {1, kNaN, 3, kNaN, 5, kNaN};
   const SampleCloud cloud(std::move(pts), std::move(vals));
 
-  vf::core::BatchReconstructor rec(trained_model().clone());
+  vf::core::FcnnReconstructor rec(trained_model().clone());
   ReconstructReport report;
   EXPECT_THROW(
       (void)rec.reconstruct(cloud, UniformGrid3({4, 2, 1}, {0, 0, 0}, {1, 1, 1}),
@@ -422,22 +415,7 @@ TEST_F(DegradeTest, FallbackMethodParsing) {
                std::invalid_argument);
 }
 
-// ---- pipeline + report plumbing -------------------------------------------
-
-TEST_F(DegradeTest, PipelineReconstructReportsDegradation) {
-  const auto truth = make_truth();
-  vf::core::PipelineOptions opts;
-  opts.archive_fraction = 0.15;
-  opts.pretrain_config = tiny_config();
-  vf::core::TemporalPipeline pipeline(opts);
-  const auto artifacts = pipeline.ingest(truth);
-
-  ReconstructReport report;
-  const auto out =
-      pipeline.reconstruct(artifacts.cloud, truth.grid(), report);
-  EXPECT_TRUE(all_finite(out));
-  EXPECT_EQ(report.input_points, artifacts.cloud.size());
-}
+// ---- report plumbing ------------------------------------------------------
 
 TEST_F(DegradeTest, ReportSummaryNamesEveryDegradation) {
   ReconstructReport r;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "vf/field/metrics.hpp"
@@ -114,6 +117,25 @@ TEST_P(MethodContract, DeterministicGivenSameCloud) {
   for (std::int64_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i], b[i]) << GetParam();
   }
+}
+
+TEST_P(MethodContract, BitIdenticalAtOneAndFourThreads) {
+  // Every method must be deterministic at any OpenMP thread count, not
+  // just across repeated calls at one count.
+  auto truth = smooth_field();
+  RandomSampler sampler;
+  auto cloud = sampler.sample(truth, 0.05, 13);
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  auto serial = method()->reconstruct(cloud, truth.grid());
+  omp_set_num_threads(4);
+  auto parallel = method()->reconstruct(cloud, truth.grid());
+  omp_set_num_threads(saved);
+  ASSERT_EQ(serial.size(), parallel.size());
+  EXPECT_EQ(0, std::memcmp(serial.values().data(), parallel.values().data(),
+                           static_cast<std::size_t>(serial.size()) *
+                               sizeof(double)))
+      << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(All, MethodContract,

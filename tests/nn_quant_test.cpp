@@ -140,7 +140,7 @@ TEST_F(QuantNetwork, Fp16AndInt8StayWithinPolicyEnvelope) {
         ref2 += want_(r, c) * want_(r, c);
       }
     }
-    // Relative RMS error bound: loose enough for int8's per-tensor grid,
+    // Relative RMS error bound: loose enough for int8's per-row grid,
     // tight enough to catch a broken codec/scale (which lands near 100%).
     EXPECT_LT(std::sqrt(err2 / ref2), 0.05)
         << "policy " << vf::nn::to_string(policy);
@@ -157,6 +157,24 @@ TEST_F(QuantNetwork, RowBatchingDoesNotChangeResults) {
   for (std::size_t r = 0; r < a.rows(); ++r) {
     for (std::size_t c = 0; c < a.cols(); ++c) {
       EXPECT_DOUBLE_EQ(a(r, c), b(r, c));
+    }
+  }
+}
+
+TEST_F(QuantNetwork, Int8RowsDoNotDependOnTheirBatch) {
+  // Each row snaps on its own scale, so a row answers the same alone, in a
+  // 64-row chunk, or in the whole matrix.
+  QuantizedNetwork q(net_, QuantPolicy::Int8);
+  QuantScratch scratch;
+  Matrix whole, chunked, one, row(1, X_.cols());
+  q.infer(X_, whole, scratch);
+  q.infer(X_, chunked, scratch, /*row_batch=*/64);
+  for (std::size_t r = 0; r < X_.rows(); ++r) {
+    for (std::size_t c = 0; c < X_.cols(); ++c) row(0, c) = X_(r, c);
+    q.infer(row, one, scratch);
+    for (std::size_t c = 0; c < whole.cols(); ++c) {
+      ASSERT_EQ(whole(r, c), chunked(r, c));
+      ASSERT_EQ(whole(r, c), one(0, c));
     }
   }
 }

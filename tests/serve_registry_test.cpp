@@ -143,7 +143,7 @@ TEST_F(Registry, InFlightHandleOutlivesEviction) {
   EXPECT_EQ(reg.stats().evictions, 1u);
 
   // The worker's handle still owns the storage.
-  EXPECT_GT(held->net.parameter_count(), 0u);
+  EXPECT_GT(held->model().net.parameter_count(), 0u);
   EXPECT_GT(held->memory_bytes(), 0u);
 }
 
@@ -160,7 +160,7 @@ TEST_F(Registry, FailedLoadPropagatesAndStaysRetryable) {
   reg.add("bad", save_model("healed", 9));
   auto model = reg.resolve("bad");
   ASSERT_NE(model, nullptr);
-  EXPECT_GT(model->net.parameter_count(), 0u);
+  EXPECT_GT(model->model().net.parameter_count(), 0u);
 }
 
 TEST_F(Registry, RejectsALoadableButIncompatibleModel) {
@@ -214,7 +214,7 @@ TEST_F(Registry, ReRegisteringMidLoadNeverInstallsTheStaleModel) {
     loader.join();
     auto model = reg.resolve("k");
     ASSERT_NE(model, nullptr);
-    EXPECT_EQ(model->dataset, "new");
+    EXPECT_EQ(model->model().dataset, "new");
   }
 }
 
@@ -223,7 +223,7 @@ TEST_F(Registry, ConcurrentColdResolversShareOneLoad) {
   reg.add("a", save_model("a", 1));
 
   constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const FcnnModel>> results(kThreads);
+  std::vector<std::shared_ptr<const vf::core::CompiledModel>> results(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back(
@@ -369,7 +369,7 @@ TEST_F(Registry, ConcurrentMixedKeyChurnUnderTightCapStaysConsistent) {
         auto model = reg.resolve((t + i) % 2 == 0 ? "a" : "b");
         ASSERT_NE(model, nullptr);
         // Touch the model to catch use-after-eviction under ASan/TSan.
-        ASSERT_GT(model->net.parameter_count(), 0u);
+        ASSERT_GT(model->model().net.parameter_count(), 0u);
       }
     });
   }

@@ -31,6 +31,14 @@ using vf::serve::RouterOptions;
 using vf::serve::ShardRouter;
 using vf::serve::Status;
 
+/// "<prefix><i>", built by append: `"t" + std::to_string(i)` trips a GCC 12
+/// -Wrestrict false positive once inlined into the test bodies.
+std::string numbered(const char* prefix, int i) {
+  std::string key(prefix);
+  key.append(std::to_string(i));
+  return key;
+}
+
 vf::core::FcnnModel tiny_model() {
   vf::core::FcnnModel model;
   model.net = vf::nn::Network::mlp(
@@ -70,7 +78,7 @@ std::vector<Vec3> probe_points() {
 std::vector<std::string> ring_keys(int n) {
   std::vector<std::string> keys;
   keys.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) keys.push_back("session-" + std::to_string(i));
+  for (int i = 0; i < n; ++i) keys.push_back(numbered("session-", i));
   return keys;
 }
 
@@ -169,7 +177,7 @@ TEST_F(RouterTest, ServesQueriesAndSpreadsSessionsAcrossShards) {
   ShardRouter router(ropts);
   std::set<std::size_t> homes;
   for (int i = 0; i < 16; ++i) {
-    const std::string key = "t" + std::to_string(i);
+    const std::string key = numbered("t", i);
     router.add_session(key, test_cloud(), model_path_);
     EXPECT_TRUE(router.has_session(key));
     homes.insert(router.shard_for(key));
@@ -338,11 +346,11 @@ TEST_F(RouterTest, TierDrainFlushesTheBacklogAndReportsTrue) {
   ropts.shard.queue_max = 1024;
   ShardRouter router(ropts);
   for (int i = 0; i < 4; ++i) {
-    router.add_session("t" + std::to_string(i), test_cloud(), model_path_);
+    router.add_session(numbered("t", i), test_cloud(), model_path_);
   }
   std::vector<std::future<vf::serve::PointResponse>> futures;
   for (int i = 0; i < 64; ++i) {
-    auto f = router.submit("t" + std::to_string(i % 4), probe_points());
+    auto f = router.submit(numbered("t", i % 4), probe_points());
     ASSERT_TRUE(f.has_value());
     futures.push_back(std::move(*f));
   }

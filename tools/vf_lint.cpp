@@ -45,11 +45,12 @@
 //
 //   api-facade       Code outside src/ — tools, bench, examples — must go
 //                    through the vf::api::Reconstructor facade
-//                    (vf/api/reconstruct.hpp) rather than constructing
-//                    FcnnReconstructor / BatchReconstructor directly, so
-//                    engine selection, model caching, and stats stay in one
-//                    place. Engine-level benchmarks and fine-tuning flows
-//                    that deliberately bypass the facade annotate with
+//                    (vf/api/reconstruct.hpp) rather than driving the one
+//                    prediction path's parts (FcnnReconstructor, BoundCloud,
+//                    CompiledModel) directly, so engine selection, model
+//                    and cloud caching, and stats stay in one place.
+//                    Engine-level benchmarks and fine-tuning flows that
+//                    deliberately bypass the facade annotate with
 //                    `// vf-lint: allow(api-facade) <reason>`.
 //
 //   hot-alloc        A by-value std::vector / AlignedVector declared inside
@@ -457,11 +458,12 @@ void lint_file(const fs::path& path, std::vector<Finding>& findings) {
     // --- api-facade -----------------------------------------------------
     if (outside_src && code.find("#include") == std::string::npos &&
         (has_word(code, "FcnnReconstructor") ||
-         has_word(code, "BatchReconstructor")) &&
+         has_word(code, "BoundCloud") || has_word(code, "CompiledModel")) &&
         !allowed("api-facade")) {
       findings.push_back(
           {file, lineno, "api-facade",
-           "direct FcnnReconstructor/BatchReconstructor use outside src/ — "
+           "direct FcnnReconstructor/BoundCloud/CompiledModel use outside "
+           "src/ — "
            "reconstruct through vf::api::Reconstructor "
            "(vf/api/reconstruct.hpp), or annotate a deliberate engine-level "
            "site with vf-lint: allow(api-facade)"});
