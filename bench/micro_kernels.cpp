@@ -1,9 +1,13 @@
 // Google-benchmark micro benchmarks for the performance-critical kernels:
 // k-d tree construction/query, GEMM, Delaunay insertion + location, the
-// samplers, and feature extraction. These track regressions in the
+// samplers, feature extraction, and the CRC32 + model load of the
+// crash-safe formats. These track regressions in the
 // substrate that every figure-level bench depends on.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "common.hpp"
 #include "vf/core/fcnn.hpp"
@@ -12,6 +16,7 @@
 #include "vf/nn/kernels.hpp"
 #include "vf/nn/matrix.hpp"
 #include "vf/spatial/kdtree.hpp"
+#include "vf/util/atomic_io.hpp"
 #include "vf/util/rng.hpp"
 
 namespace {
@@ -238,5 +243,39 @@ void BM_BatchReconstruct(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * truth.size());
 }
 BENCHMARK(BM_BatchReconstruct)->Arg(1024)->Arg(2048)->Arg(4096)->Arg(8192);
+
+// CRC32 throughput over an arg-sized buffer: every section of every
+// crash-safe format is checksummed on save and verified on load.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<unsigned char> buf(static_cast<std::size_t>(state.range(0)));
+  vf::util::Rng rng(3);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.below(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vf::util::crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 20);
+
+// FcnnModel::load of a saved paper-architecture model (~1.5 MB): the cost
+// a time-scrubbing viewer pays on every registry miss.
+void BM_ModelLoad(benchmark::State& state) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vf_bm_model_load_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "model.vfmd").string();
+  paper_arch_model().save(path);
+  for (auto _ : state) {
+    auto model = vf::core::FcnnModel::load(path);
+    benchmark::DoNotOptimize(model.net.layer_count());
+  }
+  state.SetBytesProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(std::filesystem::file_size(path)));
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+BENCHMARK(BM_ModelLoad)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -41,6 +41,13 @@ class BoundCloud {
   /// `scrubbed`'s binding re-indexed as `kind` (resolved, not Auto).
   BoundCloud(const BoundCloud& scrubbed, vf::spatial::IndexKind kind);
 
+  /// Index `scrubbed`, which the caller already scrubbed from `source`
+  /// (dropping `nonfinite` + `duplicates` points): the scrub is not redone.
+  BoundCloud(const vf::sampling::SampleCloud& source,
+             vf::sampling::SampleCloud scrubbed, std::size_t nonfinite,
+             std::size_t duplicates, vf::spatial::IndexKind kind,
+             std::size_t expected_queries);
+
   /// `cached` when it was bound from `cloud` and `kind` still resolves to
   /// its index kind for `expected_queries`; otherwise a new binding (a
   /// kind flip on the same cloud re-indexes the cached scrub). Bindings
@@ -69,6 +76,8 @@ class BoundCloud {
 
  private:
   [[nodiscard]] bool binds(const vf::sampling::SampleCloud& cloud) const;
+  /// Build index_ over cloud_ as kind_.
+  void build_index();
 
   // The scrub counts precede cloud_: its initializer writes them.
   std::size_t input_points_ = 0;

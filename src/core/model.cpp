@@ -1,12 +1,10 @@
 #include "vf/core/model.hpp"
 
-#include <cstring>
-#include <fstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "vf/nn/serialize.hpp"
 #include "vf/util/atomic_io.hpp"
-#include "vf/util/fault.hpp"
 
 namespace vf::core {
 
@@ -61,7 +59,7 @@ std::size_t FcnnModel::memory_bytes() const {
 
 namespace {
 
-constexpr char kMagic[4] = {'V', 'F', 'M', 'D'};
+constexpr std::string_view kMagic = "VFMD";
 constexpr std::uint32_t kVersion = 2;
 /// Width bound for normaliser vectors at load (real models use 23/4).
 constexpr std::uint32_t kMaxNormWidth = 4096;
@@ -95,31 +93,15 @@ std::string metadata_payload(const FcnnModel& m) {
   return out.take();
 }
 
-/// Legacy (pre-versioning) two-file layout: metadata in `path`, network in
-/// `path`.net. No checksums; bounds come from the real byte counts.
-FcnnModel load_v1(std::istream& in, const std::string& path) {
-  FcnnModel m;
-  std::uint8_t grad = 1;
-  in.read(reinterpret_cast<char*>(&grad), 1);
-  m.with_gradients = grad != 0;
-  std::uint32_t nlen = 0;
-  in.read(reinterpret_cast<char*>(&nlen), sizeof nlen);
-  if (!in || nlen > kMaxNormWidth) {
-    throw std::runtime_error("FcnnModel::load: corrupt metadata");
-  }
-  m.dataset.resize(nlen);
-  in.read(m.dataset.data(), nlen);
-  in.read(reinterpret_cast<char*>(&m.trained_timestep),
-          sizeof m.trained_timestep);
-  const std::uint64_t rest = vf::util::bytes_remaining(in);
-  std::string body(static_cast<std::size_t>(rest), '\0');
-  in.read(body.data(), static_cast<std::streamsize>(rest));
-  vf::util::ByteReader tail(body, "FcnnModel::load");
-  m.in_norm = read_normalizer(tail);
-  m.out_norm = read_normalizer(tail);
-  tail.expect_end();
-  m.net = vf::nn::load_network(path + ".net");
-  return m;
+/// The metadata_payload fields, consumed exactly: the v2 metadata section
+/// and the whole legacy metadata file share this layout.
+void read_metadata(vf::util::ByteReader& in, FcnnModel& m) {
+  m.with_gradients = in.pod<std::uint8_t>() != 0;
+  m.dataset = in.str(kMaxNormWidth);
+  m.trained_timestep = in.pod<double>();
+  m.in_norm = read_normalizer(in);
+  m.out_norm = read_normalizer(in);
+  in.expect_end();
 }
 
 }  // namespace
@@ -131,7 +113,7 @@ void FcnnModel::save(const std::string& path) const {
   const std::string net_bytes = vf::nn::network_to_bytes(net);
   const std::string meta = metadata_payload(*this);
   vf::util::atomic_write_file(path, [&](std::ostream& out) {
-    out.write(kMagic, 4);
+    out.write(kMagic.data(), 4);
     const std::uint32_t version = kVersion;
     out.write(reinterpret_cast<const char*>(&version), sizeof version);
     vf::util::write_crc_section(out, meta);
@@ -140,38 +122,37 @@ void FcnnModel::save(const std::string& path) const {
 }
 
 FcnnModel FcnnModel::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in || vf::util::fault::should_fail("model_read")) {
-    throw std::runtime_error("FcnnModel::load: cannot open " + path);
-  }
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kMagic, 4) != 0) {
+  // One read, no copies: both CRC layers (this file's sections and the
+  // network's per-layer sections) are verified in place over `bytes`, and
+  // each matrix is parsed straight into its layer.
+  const std::string bytes =
+      vf::util::read_file(path, "FcnnModel::load", "model_read");
+  vf::util::ByteReader in(bytes, "FcnnModel::load");
+  if (!in.consume(kMagic)) {
     throw std::runtime_error("FcnnModel::load: bad magic in " + path);
   }
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof version);
-  if (!in) throw std::runtime_error("FcnnModel::load: truncated " + path);
+  if (in.remaining() < sizeof(std::uint32_t)) {
+    throw std::runtime_error("FcnnModel::load: truncated " + path);
+  }
+  const auto version = in.pod<std::uint32_t>();
   if (version != kVersion) {
-    // Not a known version marker: assume the legacy layout, whose next
-    // bytes are the grad flag + name length (never equal to a small
-    // version integer — the flag byte is 0/1 and names are short).
-    in.seekg(4);
-    return load_v1(in, path);
+    // Not a known version marker: assume the legacy (pre-versioning)
+    // two-file layout — unchecksummed metadata in `path`, network in
+    // `path`.net — whose next bytes are the grad flag + name length (never
+    // equal to a small version integer: the flag byte is 0/1 and names
+    // are short).
+    vf::util::ByteReader legacy(std::string_view(bytes).substr(kMagic.size()),
+                                "FcnnModel::load");
+    FcnnModel m;
+    read_metadata(legacy, m);
+    m.net = vf::nn::load_network(path + ".net");
+    return m;
   }
   FcnnModel m;
-  const std::string meta = vf::util::read_crc_section(
-      in, vf::util::bytes_remaining(in), "FcnnModel::load");
-  vf::util::ByteReader meta_in(meta, "FcnnModel::load");
-  m.with_gradients = meta_in.pod<std::uint8_t>() != 0;
-  m.dataset = meta_in.str(kMaxNormWidth);
-  m.trained_timestep = meta_in.pod<double>();
-  m.in_norm = read_normalizer(meta_in);
-  m.out_norm = read_normalizer(meta_in);
-  meta_in.expect_end();
-  const std::string net_bytes = vf::util::read_crc_section(
-      in, vf::util::bytes_remaining(in), "FcnnModel::load");
-  vf::util::expect_eof(in, "FcnnModel::load");
+  vf::util::ByteReader meta_in(in.section(), "FcnnModel::load");
+  read_metadata(meta_in, m);
+  const std::string_view net_bytes = in.section();
+  in.expect_end();
   m.net = vf::nn::network_from_bytes(net_bytes, "FcnnModel::load");
   return m;
 }

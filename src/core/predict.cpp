@@ -30,10 +30,21 @@ BoundCloud::BoundCloud(const SampleCloud& cloud, IndexKind kind,
       cloud_(cloud.scrubbed(nonfinite_, duplicates_)),
       points_key_(cloud.points().data()),
       values_key_(cloud.values().data()) {
-  VF_OBS_SPAN("tree_build");
-  VF_OBS_COUNT("core.bind.tree_builds", 1);
   kind_ = resolve_kind(kind, cloud_.size(), expected_queries);
-  index_ = vf::spatial::build_index(cloud_.points(), kind_);
+  build_index();
+}
+
+BoundCloud::BoundCloud(const SampleCloud& source, SampleCloud scrubbed,
+                       std::size_t nonfinite, std::size_t duplicates,
+                       IndexKind kind, std::size_t expected_queries)
+    : input_points_(source.size()),
+      nonfinite_(nonfinite),
+      duplicates_(duplicates),
+      cloud_(std::move(scrubbed)),
+      points_key_(source.points().data()),
+      values_key_(source.values().data()) {
+  kind_ = resolve_kind(kind, cloud_.size(), expected_queries);
+  build_index();
 }
 
 BoundCloud::BoundCloud(const BoundCloud& scrubbed, IndexKind kind)
@@ -44,6 +55,10 @@ BoundCloud::BoundCloud(const BoundCloud& scrubbed, IndexKind kind)
       kind_(kind),
       points_key_(scrubbed.points_key_),
       values_key_(scrubbed.values_key_) {
+  build_index();
+}
+
+void BoundCloud::build_index() {
   VF_OBS_SPAN("tree_build");
   VF_OBS_COUNT("core.bind.tree_builds", 1);
   index_ = vf::spatial::build_index(cloud_.points(), kind_);

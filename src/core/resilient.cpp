@@ -117,15 +117,19 @@ ScalarField reconstruct_resilient(const std::string& model_path,
   if (grid.point_count() <= 0) {
     throw std::invalid_argument("reconstruct_resilient: empty grid");
   }
-  // Scrub and index once; the FCNN engine and the classical fallback both
-  // work from this binding.
-  const BoundCloud bound(cloud, engine.index,
-                         static_cast<std::size_t>(grid.point_count()));
-  const SampleCloud& clean = bound.cloud();
-  report = ReconstructReport{};
-  report.input_points = cloud.size();
-  report.scrubbed_nonfinite = bound.scrubbed_nonfinite();
-  report.scrubbed_duplicates = bound.scrubbed_duplicates();
+  // Scrub now; index only once the model has loaded, so a missing or
+  // corrupt model degrades to the classical fill without an index build
+  // on the way.
+  std::size_t nonfinite = 0;
+  std::size_t duplicates = 0;
+  const SampleCloud clean = cloud.scrubbed(nonfinite, duplicates);
+  const auto reset_report = [&] {
+    report = ReconstructReport{};
+    report.input_points = cloud.size();
+    report.scrubbed_nonfinite = nonfinite;
+    report.scrubbed_duplicates = duplicates;
+  };
+  reset_report();
 
   if (clean.size() == 0) {
     // Nothing usable at all: a constant field is the only honest answer.
@@ -138,12 +142,12 @@ ScalarField reconstruct_resilient(const std::string& model_path,
   if (clean.size() >= static_cast<std::size_t>(kNeighbors)) {
     try {
       FcnnReconstructor rec(FcnnModel::load(model_path), engine);
+      const BoundCloud bound(cloud, clean, nonfinite, duplicates,
+                             engine.index,
+                             static_cast<std::size_t>(grid.point_count()));
       return rec.reconstruct(bound, grid, report);
     } catch (const std::exception& e) {
-      report = ReconstructReport{};  // discard any partial inner accounting
-      report.input_points = cloud.size();
-      report.scrubbed_nonfinite = bound.scrubbed_nonfinite();
-      report.scrubbed_duplicates = bound.scrubbed_duplicates();
+      reset_report();  // discard any partial inner accounting
       report.fallback = FallbackReason::ModelLoadFailed;
       report.detail = e.what();
     }

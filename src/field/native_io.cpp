@@ -2,11 +2,11 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "vf/util/atomic_io.hpp"
-#include "vf/util/fault.hpp"
 
 namespace vf::field {
 
@@ -14,15 +14,10 @@ namespace {
 // Version 1 ("VFB1"): unchecksummed header + raw values, kept readable.
 // Version 2 ("VFB2"): atomic write, CRC-framed header and data sections,
 // exact-size files — a torn write or bit flip throws at load.
-constexpr char kMagicV1[4] = {'V', 'F', 'B', '1'};
-constexpr char kMagicV2[4] = {'V', 'F', 'B', '2'};
+constexpr std::string_view kMagicV1 = "VFB1";
+constexpr std::string_view kMagicV2 = "VFB2";
 constexpr std::uint32_t kVersion = 2;
 constexpr std::uint32_t kMaxNameLen = 4096;
-
-template <typename T>
-void read_pod(std::istream& in, T& v) {
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-}
 
 /// Validate header dims before any allocation: positive, non-overflowing,
 /// and small enough that the value payload fits in the bytes actually left
@@ -43,35 +38,27 @@ std::int64_t checked_point_count(std::int32_t nx, std::int32_t ny,
   return count;
 }
 
-ScalarField read_native_v1(std::istream& in, const std::string& path) {
+/// Grid geometry and name, laid out identically in the VFB1 header and
+/// the VFB2 header section.
+struct Header {
   std::int32_t nx = 0, ny = 0, nz = 0;
-  read_pod(in, nx);
-  read_pod(in, ny);
-  read_pod(in, nz);
   Vec3 origin, spacing;
-  read_pod(in, origin.x);
-  read_pod(in, origin.y);
-  read_pod(in, origin.z);
-  read_pod(in, spacing.x);
-  read_pod(in, spacing.y);
-  read_pod(in, spacing.z);
-  std::uint32_t name_len = 0;
-  read_pod(in, name_len);
-  if (!in || name_len > kMaxNameLen) {
-    throw std::runtime_error("read_native: corrupt header in " + path);
-  }
-  std::string name(name_len, '\0');
-  in.read(name.data(), name_len);
-  if (!in) throw std::runtime_error("read_native: corrupt header in " + path);
-  const std::int64_t count = checked_point_count(
-      nx, ny, nz, vf::util::bytes_remaining(in), path);
-  UniformGrid3 grid({nx, ny, nz}, origin, spacing);
-  std::vector<double> values(static_cast<std::size_t>(count));
-  in.read(reinterpret_cast<char*>(values.data()),
-          static_cast<std::streamsize>(values.size() * sizeof(double)));
-  if (!in) throw std::runtime_error("read_native: truncated data in " + path);
-  vf::util::expect_eof(in, "read_native");
-  return ScalarField(grid, std::move(values), name);
+  std::string name;
+};
+
+Header read_header(vf::util::ByteReader& in) {
+  Header h;
+  h.nx = in.pod<std::int32_t>();
+  h.ny = in.pod<std::int32_t>();
+  h.nz = in.pod<std::int32_t>();
+  h.origin.x = in.pod<double>();
+  h.origin.y = in.pod<double>();
+  h.origin.z = in.pod<double>();
+  h.spacing.x = in.pod<double>();
+  h.spacing.y = in.pod<double>();
+  h.spacing.z = in.pod<double>();
+  h.name = in.str(kMaxNameLen);
+  return h;
 }
 
 }  // namespace
@@ -91,7 +78,7 @@ void write_native(const ScalarField& field, const std::string& path) {
   header.str(field.name());
 
   vf::util::atomic_write_file(path, [&](std::ostream& out) {
-    out.write(kMagicV2, 4);
+    out.write(kMagicV2.data(), 4);
     const std::uint32_t version = kVersion;
     out.write(reinterpret_cast<const char*>(&version), sizeof version);
     vf::util::write_crc_section(out, header.data());
@@ -104,47 +91,48 @@ void write_native(const ScalarField& field, const std::string& path) {
 }
 
 ScalarField read_native(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in || vf::util::fault::should_fail("native_read")) {
-    throw std::runtime_error("read_native: cannot open " + path);
-  }
-  char magic[4];
-  in.read(magic, 4);
-  if (!in) throw std::runtime_error("read_native: truncated " + path);
-  if (std::memcmp(magic, kMagicV1, 4) == 0) return read_native_v1(in, path);
-  if (std::memcmp(magic, kMagicV2, 4) != 0) {
+  // The whole file lands in one double buffer. Once every check has passed
+  // the value payload is moved down to the front of that buffer, which
+  // becomes the field's storage: a large field is never held twice.
+  std::vector<double> buf;
+  const std::size_t size = vf::util::read_file(
+      path, "read_native", "native_read", [&](std::size_t n) {
+        buf.resize((n + sizeof(double) - 1) / sizeof(double));
+        return reinterpret_cast<char*>(buf.data());
+      });
+  vf::util::ByteReader in(
+      std::string_view(reinterpret_cast<const char*>(buf.data()), size),
+      "read_native");
+  Header h;
+  std::string_view values;
+  if (in.consume(kMagicV1)) {
+    h = read_header(in);
+    const std::int64_t count =
+        checked_point_count(h.nx, h.ny, h.nz, in.remaining(), path);
+    values = in.view(static_cast<std::size_t>(count) * sizeof(double));
+  } else if (in.consume(kMagicV2)) {
+    if (in.remaining() < sizeof(std::uint32_t) ||
+        in.pod<std::uint32_t>() != kVersion) {
+      throw std::runtime_error("read_native: unsupported version in " + path);
+    }
+    vf::util::ByteReader hdr(in.section(), "read_native");
+    h = read_header(hdr);
+    hdr.expect_end();
+    const std::int64_t count =
+        checked_point_count(h.nx, h.ny, h.nz, in.remaining(), path);
+    values = in.section();
+    if (values.size() != static_cast<std::size_t>(count) * sizeof(double)) {
+      throw std::runtime_error(
+          "read_native: section size mismatch (torn or tampered file)");
+    }
+  } else {
     throw std::runtime_error("read_native: bad magic in " + path);
   }
-  std::uint32_t version = 0;
-  read_pod(in, version);
-  if (!in || version != kVersion) {
-    throw std::runtime_error("read_native: unsupported version in " + path);
-  }
-  const std::string header = vf::util::read_crc_section(
-      in, vf::util::bytes_remaining(in), "read_native");
-  vf::util::ByteReader hdr(header, "read_native");
-  const auto nx = hdr.pod<std::int32_t>();
-  const auto ny = hdr.pod<std::int32_t>();
-  const auto nz = hdr.pod<std::int32_t>();
-  Vec3 origin, spacing;
-  origin.x = hdr.pod<double>();
-  origin.y = hdr.pod<double>();
-  origin.z = hdr.pod<double>();
-  spacing.x = hdr.pod<double>();
-  spacing.y = hdr.pod<double>();
-  spacing.z = hdr.pod<double>();
-  const std::string name = hdr.str(kMaxNameLen);
-  hdr.expect_end();
-
-  const std::int64_t count = checked_point_count(
-      nx, ny, nz, vf::util::bytes_remaining(in), path);
-  UniformGrid3 grid({nx, ny, nz}, origin, spacing);
-  std::vector<double> values(static_cast<std::size_t>(count));
-  vf::util::read_crc_section_into(in, values.data(),
-                                  values.size() * sizeof(double),
-                                  "read_native");
-  vf::util::expect_eof(in, "read_native");
-  return ScalarField(grid, std::move(values), name);
+  in.expect_end();
+  UniformGrid3 grid({h.nx, h.ny, h.nz}, h.origin, h.spacing);
+  std::memmove(buf.data(), values.data(), values.size());
+  buf.resize(values.size() / sizeof(double));
+  return ScalarField(grid, std::move(buf), h.name);
 }
 
 }  // namespace vf::field

@@ -1,6 +1,7 @@
 #include "vf/nn/dense.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "vf/nn/kernels.hpp"
 #include "vf/util/contract.hpp"
@@ -16,7 +17,18 @@ DenseLayer::DenseLayer(std::size_t in, std::size_t out, std::uint64_t seed)
 }
 
 DenseLayer::DenseLayer(std::size_t in, std::size_t out)
-    : weights_(in, out), bias_(1, out), w_grad_(in, out), b_grad_(1, out) {}
+    : weights_(in, out), bias_(1, out) {}
+
+DenseLayer::DenseLayer(Matrix weights, Matrix bias)
+    : weights_(std::move(weights)), bias_(std::move(bias)) {
+  VF_REQUIRE(bias_.rows() == 1 && bias_.cols() == weights_.cols(),
+             "DenseLayer: bias must be (1 x out)");
+}
+
+void DenseLayer::ensure_grads() {
+  w_grad_.resize(weights_.rows(), weights_.cols());
+  b_grad_.resize(bias_.rows(), bias_.cols());
+}
 
 void DenseLayer::forward(const Matrix& input, Matrix& output) {
   VF_REQUIRE(input.cols() == weights_.rows(),
@@ -37,6 +49,7 @@ void DenseLayer::backward(const Matrix& grad_output, Matrix& grad_input) {
     Matrix wg, bg;
     gemm_at_b(input_, grad_output, wg);
     sum_rows(grad_output, bg);
+    ensure_grads();
     axpy(1.0, wg, w_grad_);
     axpy(1.0, bg, b_grad_);
   }
@@ -46,6 +59,7 @@ void DenseLayer::backward(const Matrix& grad_output, Matrix& grad_input) {
 }
 
 std::vector<Param> DenseLayer::params() {
+  ensure_grads();
   return {{&weights_, &w_grad_, trainable_}, {&bias_, &b_grad_, trainable_}};
 }
 

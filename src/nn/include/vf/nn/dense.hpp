@@ -13,14 +13,20 @@ class DenseLayer final : public Layer {
   /// biases start at zero. `seed` makes initialisation reproducible.
   DenseLayer(std::size_t in, std::size_t out, std::uint64_t seed);
 
-  /// Uninitialised layer for the deserializer.
+  /// Zero weights and biases.
   DenseLayer(std::size_t in, std::size_t out);
+
+  /// Adopt trained parameters: `weights` (in x out), `bias` (1 x out).
+  DenseLayer(Matrix weights, Matrix bias);
 
   [[nodiscard]] std::string kind() const override { return "dense"; }
   void forward(const Matrix& input, Matrix& output) override;
   void backward(const Matrix& grad_output, Matrix& grad_input) override;
   std::vector<Param> params() override;
   void zero_grad() override;
+  [[nodiscard]] std::size_t parameter_count() const override {
+    return weights_.size() + bias_.size();
+  }
   [[nodiscard]] std::size_t output_size(std::size_t) const override {
     return weights_.cols();
   }
@@ -33,11 +39,20 @@ class DenseLayer final : public Layer {
   [[nodiscard]] Matrix& bias() { return bias_; }
   [[nodiscard]] const Matrix& bias() const { return bias_; }
 
+  /// Gradient accumulators: empty until params() or backward() first needs
+  /// them, so a layer that only ever infers holds just its parameters.
+  [[nodiscard]] const Matrix& weight_grad() const { return w_grad_; }
+  [[nodiscard]] const Matrix& bias_grad() const { return b_grad_; }
+
  private:
+  /// Size the gradient accumulators to the parameters (zero-filled on
+  /// first use; kept as they are once sized).
+  void ensure_grads();
+
   Matrix weights_;   // (in x out)
   Matrix bias_;      // (1 x out)
-  Matrix w_grad_;
-  Matrix b_grad_;
+  Matrix w_grad_;    // (in x out) once sized
+  Matrix b_grad_;    // (1 x out) once sized
   Matrix input_;     // cached forward input
 };
 

@@ -45,6 +45,9 @@ class Layer {
   /// Reset accumulated parameter gradients to zero.
   virtual void zero_grad() {}
 
+  /// Number of parameter values (weights + biases); no side effects.
+  [[nodiscard]] virtual std::size_t parameter_count() const { return 0; }
+
   [[nodiscard]] bool trainable() const { return trainable_; }
   void set_trainable(bool t) { trainable_ = t; }
 

@@ -1,16 +1,14 @@
 #include "vf/nn/serialize.hpp"
 
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "vf/util/atomic_io.hpp"
 #include "vf/util/contract.hpp"
-#include "vf/util/fault.hpp"
 
 namespace vf::nn {
 
@@ -19,8 +17,8 @@ namespace {
 using vf::util::ByteReader;
 using vf::util::ByteWriter;
 
-constexpr char kMagic[4] = {'V', 'F', 'N', 'N'};
-constexpr char kTailMagic[4] = {'V', 'F', 'N', 'T'};
+constexpr std::string_view kMagic = "VFNN";
+constexpr std::string_view kTailMagic = "VFNT";
 constexpr std::uint32_t kVersion = 2;
 constexpr std::uint32_t kLegacyVersion = 1;
 /// Upper bound on any matrix element count accepted at load: larger than
@@ -33,16 +31,27 @@ void write_matrix(ByteWriter& out, const Matrix& m) {
   out.bytes(m.data().data(), m.size() * sizeof(double));
 }
 
-Matrix read_matrix(ByteReader& in) {
+Matrix read_matrix(ByteReader& in, const char* what) {
   const auto rows = in.pod<std::uint64_t>();
   const auto cols = in.pod<std::uint64_t>();
   if (rows == 0 || cols == 0 || rows * cols > kMaxMatrixElements ||
       rows * cols * sizeof(double) > in.remaining()) {
-    throw std::runtime_error("nn serialize: corrupt matrix header");
+    throw std::runtime_error(std::string(what) + ": corrupt matrix header");
   }
   Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
   in.bytes(m.data().data(), m.size() * sizeof(double));
   return m;
+}
+
+/// A dense layer's weights then bias, parsed straight into the layer.
+std::unique_ptr<DenseLayer> read_dense(ByteReader& in, const char* what) {
+  Matrix w = read_matrix(in, what);
+  Matrix b = read_matrix(in, what);
+  if (b.rows() != 1 || b.cols() != w.cols()) {
+    throw std::runtime_error(std::string(what) +
+                             ": bias/weights shape mismatch");
+  }
+  return std::make_unique<DenseLayer>(std::move(w), std::move(b));
 }
 
 /// One layer's section payload: kind, trainability, parameters.
@@ -60,21 +69,13 @@ std::string layer_payload(const Layer& l) {
   return out.take();
 }
 
-std::unique_ptr<Layer> layer_from_payload(const std::string& payload) {
+std::unique_ptr<Layer> layer_from_payload(std::string_view payload) {
   ByteReader in(payload, "load_network");
   const std::string kind = in.str(64);
   const auto trainable = in.pod<std::uint8_t>();
   std::unique_ptr<Layer> layer;
   if (kind == "dense") {
-    Matrix w = read_matrix(in);
-    Matrix b = read_matrix(in);
-    if (b.rows() != 1 || b.cols() != w.cols()) {
-      throw std::runtime_error("load_network: bias/weights shape mismatch");
-    }
-    auto d = std::make_unique<DenseLayer>(w.rows(), w.cols());
-    d->weights() = std::move(w);
-    d->bias() = std::move(b);
-    layer = std::move(d);
+    layer = read_dense(in, "load_network");
   } else if (kind == "relu") {
     layer = std::make_unique<ReluLayer>();
   } else if (kind == "tanh") {
@@ -89,17 +90,13 @@ std::unique_ptr<Layer> layer_from_payload(const std::string& payload) {
   return layer;
 }
 
-std::string slurp(const std::string& path, const char* what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in || vf::util::fault::should_fail("serialize_read")) {
-    throw std::runtime_error(std::string(what) + ": cannot open " + path);
+/// Check the 4-byte magic and return the u32 version that follows it.
+std::uint32_t read_magic_version(ByteReader& in, std::string_view magic,
+                                 const char* what) {
+  if (!in.consume(magic) || in.remaining() < sizeof(std::uint32_t)) {
+    throw std::runtime_error(std::string(what) + ": bad magic");
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in && !in.eof()) {
-    throw std::runtime_error(std::string(what) + ": read failed for " + path);
-  }
-  return buf.str();
+  return in.pod<std::uint32_t>();
 }
 
 // ---- legacy (version 1, unchecksummed) parsing ---------------------------
@@ -108,18 +105,6 @@ std::string slurp(const std::string& path, const char* what) {
 // enforces exact consumption, so v1 files get the same trailing-garbage and
 // giant-header protection even without CRCs.
 
-Matrix read_matrix_v1(ByteReader& in, const char* what) {
-  const auto rows = in.pod<std::uint64_t>();
-  const auto cols = in.pod<std::uint64_t>();
-  if (rows == 0 || cols == 0 || rows * cols > kMaxMatrixElements ||
-      rows * cols * sizeof(double) > in.remaining()) {
-    throw std::runtime_error(std::string(what) + ": corrupt matrix header");
-  }
-  Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  in.bytes(m.data().data(), m.size() * sizeof(double));
-  return m;
-}
-
 Network network_from_bytes_v1(ByteReader& in) {
   const auto layers = in.pod<std::uint32_t>();
   Network net;
@@ -127,11 +112,7 @@ Network network_from_bytes_v1(ByteReader& in) {
     const std::string kind = in.str(64);
     const auto trainable = in.pod<std::uint8_t>();
     if (kind == "dense") {
-      Matrix w = read_matrix_v1(in, "load_network");
-      Matrix b = read_matrix_v1(in, "load_network");
-      auto d = std::make_unique<DenseLayer>(w.rows(), w.cols());
-      d->weights() = std::move(w);
-      d->bias() = std::move(b);
+      auto d = read_dense(in, "load_network");
       d->set_trainable(trainable != 0);
       net.add(std::move(d));
     } else if (kind == "relu") {
@@ -154,11 +135,49 @@ Network network_from_bytes_v1(ByteReader& in) {
   return net;
 }
 
+/// The last-n dense (weights, bias) pairs of a VFNT file's bytes.
+std::vector<std::pair<Matrix, Matrix>> dense_tail_from_bytes(
+    std::string_view bytes, int n) {
+  ByteReader in(bytes, "load_dense_tail");
+  const std::uint32_t version =
+      read_magic_version(in, kTailMagic, "load_dense_tail");
+  std::vector<std::pair<Matrix, Matrix>> tail;
+  if (version == kLegacyVersion) {
+    const auto count = in.pod<std::uint32_t>();
+    if (static_cast<int>(count) != n) {
+      throw std::runtime_error("load_dense_tail: layer count mismatch");
+    }
+    for (std::uint32_t i = 0; i < count; ++i) {
+      Matrix w = read_matrix(in, "load_dense_tail");
+      Matrix b = read_matrix(in, "load_dense_tail");
+      tail.emplace_back(std::move(w), std::move(b));
+    }
+  } else if (version == kVersion) {
+    ByteReader hdr(in.section(), "load_dense_tail");
+    const auto count = hdr.pod<std::uint32_t>();
+    hdr.expect_end();
+    if (static_cast<int>(count) != n) {
+      throw std::runtime_error("load_dense_tail: layer count mismatch");
+    }
+    for (std::uint32_t i = 0; i < count; ++i) {
+      ByteReader section(in.section(), "load_dense_tail");
+      Matrix w = read_matrix(section, "load_dense_tail");
+      Matrix b = read_matrix(section, "load_dense_tail");
+      section.expect_end();
+      tail.emplace_back(std::move(w), std::move(b));
+    }
+  } else {
+    throw std::runtime_error("load_dense_tail: unsupported version");
+  }
+  in.expect_end();
+  return tail;
+}
+
 }  // namespace
 
 std::string network_to_bytes(const Network& net) {
   std::ostringstream out;
-  out.write(kMagic, 4);
+  out.write(kMagic.data(), 4);
   const std::uint32_t version = kVersion;
   out.write(reinterpret_cast<const char*>(&version), sizeof version);
   ByteWriter header;
@@ -170,36 +189,22 @@ std::string network_to_bytes(const Network& net) {
   return out.str();
 }
 
-Network network_from_bytes(const std::string& bytes, const char* what) {
-  std::istringstream in(bytes);
-  char magic[4];
-  in.read(magic, 4);
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof version);
-  if (!in || std::memcmp(magic, kMagic, 4) != 0) {
-    throw std::runtime_error(std::string(what) + ": bad magic");
-  }
-  if (version == kLegacyVersion) {
-    ByteReader body(bytes, what);
-    body.bytes(magic, 4);          // skip magic
-    body.pod<std::uint32_t>();     // skip version
-    return network_from_bytes_v1(body);
-  }
+Network network_from_bytes(std::string_view bytes, const char* what) {
+  ByteReader in(bytes, what);
+  const std::uint32_t version = read_magic_version(in, kMagic, what);
+  if (version == kLegacyVersion) return network_from_bytes_v1(in);
   if (version != kVersion) {
     throw std::runtime_error(std::string(what) + ": unsupported version " +
                              std::to_string(version));
   }
-  const std::string header =
-      vf::util::read_crc_section(in, vf::util::bytes_remaining(in), what);
-  ByteReader hdr(header, what);
+  ByteReader hdr(in.section(), what);
   const auto layers = hdr.pod<std::uint32_t>();
   hdr.expect_end();
   Network net;
   for (std::uint32_t i = 0; i < layers; ++i) {
-    net.add(layer_from_payload(
-        vf::util::read_crc_section(in, vf::util::bytes_remaining(in), what)));
+    net.add(layer_from_payload(in.section()));
   }
-  vf::util::expect_eof(in, what);
+  in.expect_end();
   return net;
 }
 
@@ -212,7 +217,9 @@ void save_network(const Network& net, const std::string& path) {
 
 Network load_network(const std::string& path) {
   try {
-    return network_from_bytes(slurp(path, "load_network"), "load_network");
+    return network_from_bytes(
+        vf::util::read_file(path, "load_network", "serialize_read"),
+        "load_network");
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(std::string(e.what()) + " in " + path);
   }
@@ -223,7 +230,7 @@ void save_dense_tail(const Network& net, int n, const std::string& path) {
   VF_REQUIRE(n >= 0 && n <= total,
              "save_dense_tail: tail longer than dense stack");
   vf::util::atomic_write_file(path, [&](std::ostream& out) {
-    out.write(kTailMagic, 4);
+    out.write(kTailMagic.data(), 4);
     const std::uint32_t version = kVersion;
     out.write(reinterpret_cast<const char*>(&version), sizeof version);
     ByteWriter header;
@@ -245,58 +252,18 @@ void save_dense_tail(const Network& net, int n, const std::string& path) {
 }
 
 void load_dense_tail(Network& net, int n, const std::string& path) {
-  const std::string bytes = slurp(path, "load_dense_tail");
-  std::istringstream in(bytes);
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kTailMagic, 4) != 0) {
-    throw std::runtime_error("load_dense_tail: bad magic in " + path);
-  }
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof version);
-
   const int total = net.dense_count();
   VF_REQUIRE(n >= 0 && n <= total,
              "load_dense_tail: tail longer than dense stack");
-
+  const std::string bytes =
+      vf::util::read_file(path, "load_dense_tail", "serialize_read");
   // Parse every tail matrix before touching `net`, so a corrupt later
   // section cannot leave the network half-overwritten.
   std::vector<std::pair<Matrix, Matrix>> tail;
-  if (version == kLegacyVersion) {
-    ByteReader body(bytes, "load_dense_tail");
-    body.bytes(magic, 4);
-    body.pod<std::uint32_t>();  // version
-    const auto count = body.pod<std::uint32_t>();
-    if (static_cast<int>(count) != n) {
-      throw std::runtime_error("load_dense_tail: layer count mismatch");
-    }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      Matrix w = read_matrix_v1(body, "load_dense_tail");
-      Matrix b = read_matrix_v1(body, "load_dense_tail");
-      tail.emplace_back(std::move(w), std::move(b));
-    }
-    body.expect_end();
-  } else if (version == kVersion) {
-    const std::string header = vf::util::read_crc_section(
-        in, vf::util::bytes_remaining(in), "load_dense_tail");
-    ByteReader hdr(header, "load_dense_tail");
-    const auto count = hdr.pod<std::uint32_t>();
-    hdr.expect_end();
-    if (static_cast<int>(count) != n) {
-      throw std::runtime_error("load_dense_tail: layer count mismatch");
-    }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::string payload = vf::util::read_crc_section(
-          in, vf::util::bytes_remaining(in), "load_dense_tail");
-      ByteReader section(payload, "load_dense_tail");
-      Matrix w = read_matrix(section);
-      Matrix b = read_matrix(section);
-      section.expect_end();
-      tail.emplace_back(std::move(w), std::move(b));
-    }
-    vf::util::expect_eof(in, "load_dense_tail");
-  } else {
-    throw std::runtime_error("load_dense_tail: unsupported version in " + path);
+  try {
+    tail = dense_tail_from_bytes(bytes, n);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string(e.what()) + " in " + path);
   }
 
   int seen = 0;

@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "vf/util/fault.hpp"
@@ -16,19 +17,31 @@ namespace vf::util {
 
 namespace {
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+/// Slicing-by-16 tables for the reflected IEEE polynomial: row 0 is the
+/// classic byte-at-a-time table, and row k advances a byte's contribution
+/// through k further zero bytes, so one lookup per input byte folds 16
+/// bytes into the running CRC at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+const CrcTables& crc_tables() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1u) : c >> 1u;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = t[k - 1][i];
+        t[k][i] = (prev >> 8u) ^ t[0][prev & 0xFFu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 /// fsync the file at `path` via a short-lived descriptor (ofstream cannot
@@ -57,12 +70,19 @@ void fsync_parent_dir(const std::string& path) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
+  const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  const auto& table = crc_table();
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8u);
+  const CrcTables& t = crc_tables();
+  // Bytes are combined one by one (no word loads), so the result does not
+  // depend on the host's byte order or on the buffer's alignment.
+  for (; len >= 16; len -= 16, p += 16) {
+    c = t[15][(c ^ p[0]) & 0xFFu] ^ t[14][((c >> 8u) ^ p[1]) & 0xFFu] ^
+        t[13][((c >> 16u) ^ p[2]) & 0xFFu] ^ t[12][(c >> 24u) ^ p[3]] ^
+        t[11][p[4]] ^ t[10][p[5]] ^ t[9][p[6]] ^ t[8][p[7]] ^
+        t[7][p[8]] ^ t[6][p[9]] ^ t[5][p[10]] ^ t[4][p[11]] ^
+        t[3][p[12]] ^ t[2][p[13]] ^ t[1][p[14]] ^ t[0][p[15]];
   }
+  for (; len > 0; --len, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8u);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -119,27 +139,6 @@ void write_crc_section(std::ostream& out, const std::string& payload) {
   out.write(reinterpret_cast<const char*>(&crc), sizeof crc);
 }
 
-std::string read_crc_section(std::istream& in, std::uint64_t max_size,
-                             const char* what) {
-  std::uint64_t size = 0;
-  in.read(reinterpret_cast<char*>(&size), sizeof size);
-  if (!in || size > max_size) {
-    throw std::runtime_error(std::string(what) +
-                             ": corrupt section size (torn or tampered file)");
-  }
-  std::string payload(static_cast<std::size_t>(size), '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(size));
-  std::uint32_t stored = 0;
-  in.read(reinterpret_cast<char*>(&stored), sizeof stored);
-  if (!in) {
-    throw std::runtime_error(std::string(what) + ": truncated section");
-  }
-  if (crc32(payload.data(), payload.size()) != stored) {
-    throw std::runtime_error(std::string(what) + ": section checksum mismatch");
-  }
-  return payload;
-}
-
 void write_crc_section(std::ostream& out, const void* data, std::size_t len) {
   const auto size = static_cast<std::uint64_t>(len);
   out.write(reinterpret_cast<const char*>(&size), sizeof size);
@@ -148,44 +147,74 @@ void write_crc_section(std::ostream& out, const void* data, std::size_t len) {
   out.write(reinterpret_cast<const char*>(&crc), sizeof crc);
 }
 
-void read_crc_section_into(std::istream& in, void* dst, std::uint64_t expected,
-                           const char* what) {
-  std::uint64_t size = 0;
-  in.read(reinterpret_cast<char*>(&size), sizeof size);
-  if (!in || size != expected) {
-    throw std::runtime_error(std::string(what) +
-                             ": section size mismatch (torn or tampered file)");
+std::size_t read_file(const std::string& path, const char* what,
+                      const char* failpoint,
+                      const std::function<char*(std::size_t)>& alloc) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg,hicpp-vararg)
+  if (fd < 0 || fault::should_fail(failpoint)) {
+    if (fd >= 0) ::close(fd);
+    throw std::runtime_error(std::string(what) + ": cannot open " + path);
   }
-  in.read(static_cast<char*>(dst), static_cast<std::streamsize>(size));
-  std::uint32_t stored = 0;
-  in.read(reinterpret_cast<char*>(&stored), sizeof stored);
-  if (!in) {
-    throw std::runtime_error(std::string(what) + ": truncated section");
+  struct FdGuard {
+    int fd;
+    ~FdGuard() { ::close(fd); }
+  } guard{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    throw std::runtime_error(std::string(what) + ": cannot open " + path);
   }
-  if (crc32(dst, static_cast<std::size_t>(size)) != stored) {
-    throw std::runtime_error(std::string(what) + ": section checksum mismatch");
+  const auto size = static_cast<std::size_t>(st.st_size);
+  char* dst = alloc(size);
+  std::size_t done = 0;
+  while (done < size) {
+    const ssize_t got = ::read(fd, dst + done, size - done);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) {
+      throw std::runtime_error(std::string(what) + ": read failed for " +
+                               path);
+    }
+    done += static_cast<std::size_t>(got);
+  }
+  return size;
+}
+
+std::string read_file(const std::string& path, const char* what,
+                      const char* failpoint) {
+  std::string bytes;
+  read_file(path, what, failpoint, [&](std::size_t n) {
+    bytes.resize(n);
+    return bytes.data();
+  });
+  return bytes;
+}
+
+std::string_view ByteReader::section() {
+  const auto size = pod<std::uint64_t>();
+  if (size > remaining()) {
+    throw std::runtime_error(std::string(what_) +
+                             ": corrupt section size (torn or tampered file)");
+  }
+  const std::string_view payload = view(static_cast<std::size_t>(size));
+  if (remaining() < sizeof(std::uint32_t)) {
+    throw std::runtime_error(std::string(what_) + ": truncated section");
+  }
+  if (crc32(payload.data(), payload.size()) != pod<std::uint32_t>()) {
+    throw std::runtime_error(std::string(what_) +
+                             ": section checksum mismatch");
+  }
+  return payload;
+}
+
+void ByteReader::expect_end() const {
+  if (at_ != buf_.size()) {
+    throw std::runtime_error(std::string(what_) +
+                             ": trailing bytes after payload");
   }
 }
 
 void ByteReader::overrun() const {
   throw std::runtime_error(std::string(what_) +
                            ": corrupt payload (field extends past section)");
-}
-
-void expect_eof(std::istream& in, const char* what) {
-  if (in.peek() != std::istream::traits_type::eof()) {
-    throw std::runtime_error(std::string(what) +
-                             ": trailing bytes after payload");
-  }
-}
-
-std::uint64_t bytes_remaining(std::istream& in) {
-  const std::istream::pos_type at = in.tellg();
-  if (at == std::istream::pos_type(-1)) return 0;
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.seekg(at);
-  return end >= at ? static_cast<std::uint64_t>(end - at) : 0;
 }
 
 std::vector<int> retry_delays_ms(const RetryPolicy& policy) {

@@ -12,18 +12,20 @@
 //
 // The section helpers frame variable-length payloads as
 // `u64 size | bytes | u32 crc32`, which is how the v2 serialization formats
-// detect torn writes and bit flips: a loader rejects a section whose size
-// exceeds the bytes actually left in the file (no multi-GB allocations from
-// a corrupt header) and whose checksum does not match.
+// detect torn writes and bit flips. Loaders read the whole file into one
+// buffer (read_file) and walk it with ByteReader: section() verifies each
+// frame in place and hands back a view of its payload, rejecting a size
+// that exceeds the bytes actually left in the file (no multi-GB
+// allocations from a corrupt header) and a checksum that does not match.
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -51,25 +53,18 @@ void write_crc_section(std::ostream& out, const std::string& payload);
 /// used for multi-hundred-MB field payloads).
 void write_crc_section(std::ostream& out, const void* data, std::size_t len);
 
-/// Read a section whose payload size must equal `expected` bytes into `dst`
-/// (caller allocated). Throws std::runtime_error on size mismatch,
-/// truncation, or checksum failure.
-void read_crc_section_into(std::istream& in, void* dst, std::uint64_t expected,
-                           const char* what);
+/// Read the whole file at `path` into memory: `alloc(n)` is called once
+/// with the file's byte count n and returns where the n bytes go. Returns
+/// n. Throws std::runtime_error "<what>: cannot open <path>" when the file
+/// cannot be opened or `failpoint` (a vf::util::fault site) fires, and
+/// "<what>: read failed for <path>" on a read error or short read.
+std::size_t read_file(const std::string& path, const char* what,
+                      const char* failpoint,
+                      const std::function<char*(std::size_t)>& alloc);
 
-/// Read back one checksummed section. `max_size` bounds the allocation
-/// (callers pass the bytes remaining in the file, so corrupt sizes are
-/// rejected before any allocation). Throws std::runtime_error with `what`
-/// in the message on truncation, oversize, or checksum mismatch.
-std::string read_crc_section(std::istream& in, std::uint64_t max_size,
-                             const char* what);
-
-/// Throw std::runtime_error unless `in` is positioned exactly at EOF —
-/// loaders call this last so trailing garbage is rejected, not ignored.
-void expect_eof(std::istream& in, const char* what);
-
-/// Bytes from the stream's current position to EOF (position restored).
-std::uint64_t bytes_remaining(std::istream& in);
+/// The whole file at `path` as one buffer (same errors as above).
+std::string read_file(const std::string& path, const char* what,
+                      const char* failpoint);
 
 /// Append-only byte buffer for assembling section payloads in memory before
 /// checksumming. POD values are written in native (little-endian on every
@@ -96,12 +91,14 @@ class ByteWriter {
   std::string buf_;
 };
 
-/// Bounds-checked cursor over an in-memory payload. Every overrun throws
-/// std::runtime_error tagged with `what`, so a corrupt length field can
-/// never read past the buffer or trigger an oversized allocation.
+/// Bounds-checked cursor over an in-memory buffer (a whole file or one
+/// section's payload); the buffer must outlive the reader and every view
+/// it returns. Every overrun throws std::runtime_error tagged with `what`,
+/// so a corrupt length field can never read past the buffer or trigger an
+/// oversized allocation.
 class ByteReader {
  public:
-  ByteReader(const std::string& buf, const char* what)
+  ByteReader(std::string_view buf, const char* what)
       : buf_(buf), what_(what) {}
 
   template <typename T>
@@ -117,24 +114,38 @@ class ByteReader {
                                  len);
     at_ += len;
   }
+  /// The next `len` bytes as a view into the buffer (no copy).
+  std::string_view view(std::size_t len) {
+    if (len > buf_.size() - at_) overrun();
+    const std::string_view v = buf_.substr(at_, len);
+    at_ += len;
+    return v;
+  }
+  /// True, advancing past them, when the next bytes equal `tag` (a file
+  /// magic); false, consuming nothing, otherwise.
+  bool consume(std::string_view tag) {
+    if (buf_.substr(at_, tag.size()) != tag) return false;
+    at_ += tag.size();
+    return true;
+  }
   /// Length-prefixed string, rejecting lengths above `max_len`.
   std::string str(std::uint64_t max_len) {
     const auto len = pod<std::uint32_t>();
     if (len > max_len || len > remaining()) overrun();
-    std::string s(len, '\0');
-    bytes(s.data(), len);
-    return s;
+    return std::string(view(len));
   }
+  /// One checksummed section (u64 size, payload, u32 CRC), verified in
+  /// place: returns a view of the payload. Throws on a size beyond the
+  /// buffer, truncation, or checksum mismatch.
+  std::string_view section();
   [[nodiscard]] std::uint64_t remaining() const { return buf_.size() - at_; }
-  /// Throw unless the payload was consumed exactly (no trailing bytes).
-  void expect_end() const {
-    if (at_ != buf_.size()) overrun();
-  }
+  /// Throw unless the buffer was consumed exactly (no trailing bytes).
+  void expect_end() const;
 
  private:
   [[noreturn]] void overrun() const;
 
-  const std::string& buf_;
+  std::string_view buf_;
   std::size_t at_ = 0;
   const char* what_;
 };

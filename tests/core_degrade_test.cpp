@@ -19,6 +19,7 @@
 
 #include "vf/core/fcnn.hpp"
 #include "vf/core/resilient.hpp"
+#include "vf/obs/obs.hpp"
 #include "vf/sampling/samplers.hpp"
 #include "vf/spatial/kdtree.hpp"
 
@@ -310,6 +311,32 @@ TEST_F(DegradeTest, ResilientSurvivesMissingModel) {
     EXPECT_EQ(out[cloud.kept_indices()[i]], cloud.values()[i]);
   }
   EXPECT_NE(report.summary().find("degraded"), std::string::npos);
+}
+
+TEST_F(DegradeTest, ResilientMissingModelBuildsNoIndex) {
+  // The classical fallback needs only the scrub: a model that cannot load
+  // must not cost a neighbour-index build on the way.
+  const auto truth = make_truth();
+  const auto cloud = sampled_cloud(truth);
+  const bool was_enabled = vf::obs::enabled();
+  vf::obs::set_enabled(true);
+  auto& builds = vf::obs::counter("core.bind.tree_builds");
+
+  std::int64_t before = builds.value();
+  ReconstructReport report;
+  (void)vf::core::reconstruct_resilient(path("no_such_model.vfmd"), cloud,
+                                        truth.grid(), report);
+  EXPECT_EQ(report.fallback, FallbackReason::ModelLoadFailed);
+  EXPECT_EQ(builds.value() - before, 0);
+  EXPECT_EQ(report.input_points, cloud.size());
+  EXPECT_EQ(report.scrubbed_nonfinite, 0u);
+  EXPECT_EQ(report.scrubbed_duplicates, 0u);
+
+  // Control: the counter does see a binding's index build.
+  before = builds.value();
+  const vf::core::BoundCloud bound(cloud, vf::spatial::IndexKind::KdTree, 1);
+  EXPECT_EQ(builds.value() - before, VF_OBS_ENABLED ? 1 : 0);
+  vf::obs::set_enabled(was_enabled);
 }
 
 TEST_F(DegradeTest, ResilientSurvivesCorruptModelAndRottenSamples) {

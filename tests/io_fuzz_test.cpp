@@ -11,16 +11,20 @@
 // corrupt header would be caught even if it failed to throw.
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include "vf/core/model.hpp"
 #include "vf/field/native_io.hpp"
+#include "vf/nn/checkpoint.hpp"
 #include "vf/nn/serialize.hpp"
 #include "vf/util/atomic_io.hpp"
 
@@ -218,6 +222,105 @@ TEST_F(IoFuzzTest, ModelFileRejectsEveryTruncationAndTrailingGarbage) {
 
   spew(q, blob + "x");
   EXPECT_THROW((void)vf::core::FcnnModel::load(q), std::runtime_error);
+}
+
+// ---- on-disk compatibility --------------------------------------------
+
+/// The textbook bit-at-a-time CRC-32 (reflected IEEE polynomial).
+std::uint32_t crc32_bitwise(std::string_view bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1u) : c >> 1u;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+/// Walk a v2 file (4-byte magic, u32 version, then `u64 size | payload |
+/// u32 crc` sections to the end) and check every trailer against the
+/// bitwise reference CRC of its payload. Returns the payloads.
+std::vector<std::string> checked_sections(const std::string& blob,
+                                          std::string_view magic) {
+  EXPECT_EQ(std::string_view(blob).substr(0, 4), magic);
+  std::vector<std::string> payloads;
+  std::size_t at = 8;
+  while (at < blob.size()) {
+    std::uint64_t size = 0;
+    std::uint32_t crc = 0;
+    EXPECT_LE(at + sizeof size, blob.size());
+    if (at + sizeof size > blob.size()) break;
+    std::memcpy(&size, blob.data() + at, sizeof size);
+    at += sizeof size;
+    EXPECT_LE(at + size + sizeof crc, blob.size());
+    if (at + size + sizeof crc > blob.size()) break;
+    const std::string payload = blob.substr(at, size);
+    at += size;
+    std::memcpy(&crc, blob.data() + at, sizeof crc);
+    at += sizeof crc;
+    EXPECT_EQ(crc, crc32_bitwise(payload)) << "section " << payloads.size();
+    payloads.push_back(payload);
+  }
+  EXPECT_EQ(at, blob.size());
+  return payloads;
+}
+
+TEST_F(IoFuzzTest, SavedFilesCarryReferenceCrcsAndResaveByteIdentically) {
+  vf::core::FcnnModel model;
+  model.net = vf::nn::Network::mlp(23, {16, 8}, 4, /*seed=*/5);
+  model.in_norm.mean.assign(23, 0.25);
+  model.in_norm.stddev.assign(23, 1.5);
+  model.out_norm.mean.assign(4, 2.0);
+  model.out_norm.stddev.assign(4, 0.5);
+  model.dataset = "compat";
+  model.trained_timestep = 3.0;
+
+  // VFMD: metadata + network sections, and the network section is itself
+  // a VFNN blob whose per-layer trailers must match too.
+  const auto m1 = path("a.vfmd");
+  const auto m2 = path("b.vfmd");
+  model.save(m1);
+  const auto model_sections = checked_sections(slurp(m1), "VFMD");
+  ASSERT_EQ(model_sections.size(), 2u);
+  const auto layer_sections = checked_sections(model_sections[1], "VFNN");
+  EXPECT_EQ(layer_sections.size(), 1 + model.net.layer_count());
+  vf::core::FcnnModel::load(m1).save(m2);
+  EXPECT_EQ(slurp(m1), slurp(m2));
+
+  // VFNN.
+  const auto n1 = path("a.net");
+  const auto n2 = path("b.net");
+  vf::nn::save_network(model.net, n1);
+  EXPECT_EQ(checked_sections(slurp(n1), "VFNN").size(),
+            1 + model.net.layer_count());
+  vf::nn::save_network(vf::nn::load_network(n1), n2);
+  EXPECT_EQ(slurp(n1), slurp(n2));
+
+  // VFCK: trainer, network and Adam sections.
+  vf::nn::TrainerState state;
+  state.epoch = 2;
+  state.best = 0.125;
+  state.order = {3, 1, 2, 0};
+  state.val_order = {4};
+  state.train_loss = {1.0, 0.5};
+  state.val_loss = {1.5, 0.75};
+  state.adam.t = 7;
+  vf::nn::Network shapes = model.net.clone();
+  for (const auto& p : shapes.params()) {
+    state.adam.m.emplace_back(p.value->rows(), p.value->cols(), 0.5);
+    state.adam.v.emplace_back(p.value->rows(), p.value->cols(), 0.25);
+  }
+  const vf::nn::Checkpointer first({path("ck1")});
+  first.write(model.net, state);
+  const std::string c1 = path("ck1") + "/ckpt_000002.vfck";
+  EXPECT_EQ(checked_sections(slurp(c1), "VFCK").size(), 3u);
+  vf::nn::Network net;
+  vf::nn::TrainerState restored;
+  vf::nn::Checkpointer::load(c1, net, restored);
+  const vf::nn::Checkpointer second({path("ck2")});
+  second.write(net, restored);
+  EXPECT_EQ(slurp(c1), slurp(path("ck2") + "/ckpt_000002.vfck"));
 }
 
 }  // namespace

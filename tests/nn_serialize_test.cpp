@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include "vf/nn/serialize.hpp"
+#include "vf/nn/trainer.hpp"
 #include "vf/util/rng.hpp"
 
 namespace {
@@ -88,6 +89,40 @@ TEST_F(SerializeTest, SaveLoadSaveIsByteStable) {
   const std::string b = slurp(path("b.vfnn"));
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+}
+
+TEST_F(SerializeTest, LoadedNetworkHoldsNoGradientBuffersUntilTraining) {
+  // A loaded model that only infers must hold just its weights: the
+  // gradient accumulators appear when the trainer attaches to params().
+  save_network(Network::mlp(3, {8, 4}, 2, 11), path("g.vfnn"));
+  Network net = load_network(path("g.vfnn"));
+  const std::size_t params = net.parameter_count();
+  EXPECT_EQ(params, 3u * 8 + 8 + 8 * 4 + 4 + 4 * 2 + 2);
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    if (net.layer(i).kind() != "dense") continue;
+    const auto& d = static_cast<const DenseLayer&>(net.layer(i));
+    EXPECT_EQ(d.weight_grad().size(), 0u) << "layer " << i;
+    EXPECT_EQ(d.bias_grad().size(), 0u) << "layer " << i;
+  }
+  // parameter_count() is a pure read: it sizes nothing.
+  EXPECT_EQ(static_cast<const DenseLayer&>(net.layer(0)).weight_grad().size(),
+            0u);
+
+  Matrix X(16, 3), Y(16, 2);
+  vf::util::Rng rng(4);
+  for (auto& v : X.data()) v = rng.uniform(-1, 1);
+  for (auto& v : Y.data()) v = rng.uniform(-1, 1);
+  TrainOptions opt;
+  opt.epochs = 1;
+  opt.batch_size = 8;
+  Trainer(opt).fit(net, X, Y);
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    if (net.layer(i).kind() != "dense") continue;
+    const auto& d = static_cast<const DenseLayer&>(net.layer(i));
+    EXPECT_EQ(d.weight_grad().size(), d.weights().size()) << "layer " << i;
+    EXPECT_EQ(d.bias_grad().size(), d.bias().size()) << "layer " << i;
+  }
+  EXPECT_EQ(net.parameter_count(), params);
 }
 
 TEST_F(SerializeTest, PreservesTrainabilityFlags) {

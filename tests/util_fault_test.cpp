@@ -343,61 +343,143 @@ TEST_F(FaultTest, Crc32Chains) {
   EXPECT_EQ(vf::util::crc32("6789", 4, part), 0xCBF43926u);
 }
 
-TEST_F(FaultTest, CrcSectionRoundTrip) {
+/// The textbook bit-at-a-time CRC-32 (reflected IEEE polynomial): the
+/// reference the table-driven crc32 must match bit for bit.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t len,
+                            std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1u) : c >> 1u;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+/// Deterministic pseudo-random bytes (a fixed LCG, independent of vf::util).
+std::vector<unsigned char> crc_test_bytes(std::size_t n) {
+  std::vector<unsigned char> v(n);
+  std::uint32_t x = 0x12345678u;
+  for (auto& b : v) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24u);
+  }
+  return v;
+}
+
+TEST_F(FaultTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..67 cover the byte tail alone, one to four 16-byte blocks
+  // and every tail length after them; offsets 0..7 cover every alignment.
+  const auto buf = crc_test_bytes(8 + 67);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      EXPECT_EQ(vf::util::crc32(p, len), crc32_bitwise(p, len))
+          << "offset " << offset << " length " << len;
+      EXPECT_EQ(vf::util::crc32(p, len, 0xDEADBEEFu),
+                crc32_bitwise(p, len, 0xDEADBEEFu))
+          << "seeded, offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST_F(FaultTest, Crc32ChainedAtEverySplitEqualsWhole) {
+  const auto buf = crc_test_bytes(100);
+  const std::uint32_t whole = vf::util::crc32(buf.data(), buf.size());
+  EXPECT_EQ(whole, crc32_bitwise(buf.data(), buf.size()));
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t head = vf::util::crc32(buf.data(), split);
+    EXPECT_EQ(vf::util::crc32(buf.data() + split, buf.size() - split, head),
+              whole)
+        << "split at " << split;
+  }
+}
+
+TEST_F(FaultTest, Crc32PinnedOnOneMebibyte) {
+  // Pins the checksum of a fixed 1 MiB buffer (the value zlib.crc32 gives
+  // for the same bytes), so a later change to the table-driven loop cannot
+  // silently change what is written to disk.
+  const auto buf = crc_test_bytes(std::size_t{1} << 20u);
+  const std::uint32_t got = vf::util::crc32(buf.data(), buf.size());
+  EXPECT_EQ(got, crc32_bitwise(buf.data(), buf.size()));
+  EXPECT_EQ(got, 0xE0A14D88u);
+}
+
+/// One framed section holding "payload", as written to disk.
+std::string framed_payload() {
   std::ostringstream os;
   vf::util::write_crc_section(os, std::string("payload"));
-  std::istringstream is(os.str());
-  EXPECT_EQ(vf::util::read_crc_section(is, 1024, "test"), "payload");
-  EXPECT_NO_THROW(vf::util::expect_eof(is, "test"));
+  return os.str();
+}
+
+TEST_F(FaultTest, CrcSectionRoundTrip) {
+  const std::string blob = framed_payload();
+  vf::util::ByteReader in(blob, "test");
+  EXPECT_EQ(in.section(), "payload");
+  EXPECT_NO_THROW(in.expect_end());
+  // The payload is a view into the buffer, not a copy.
+  vf::util::ByteReader again(blob, "test");
+  EXPECT_EQ(again.section().data(), blob.data() + sizeof(std::uint64_t));
 }
 
 TEST_F(FaultTest, CrcSectionRejectsOversizeBeforeAllocating) {
-  std::ostringstream os;
-  vf::util::write_crc_section(os, std::string("payload"));
-  std::string blob = os.str();
+  std::string blob = framed_payload();
   // Pretend the size field says 2^60 bytes: the reader must reject it
-  // against max_size instead of attempting the allocation.
+  // against the bytes actually left instead of trusting it.
   const std::uint64_t huge = 1ull << 60;
   blob.replace(0, sizeof huge,
                reinterpret_cast<const char*>(&huge), sizeof huge);
-  std::istringstream is(blob);
-  EXPECT_THROW(vf::util::read_crc_section(is, blob.size(), "test"),
-               std::runtime_error);
+  vf::util::ByteReader in(blob, "test");
+  EXPECT_THROW((void)in.section(), std::runtime_error);
 }
 
 TEST_F(FaultTest, CrcSectionRejectsEveryTruncation) {
-  std::ostringstream os;
-  vf::util::write_crc_section(os, std::string("payload"));
-  const std::string blob = os.str();
+  const std::string blob = framed_payload();
   for (std::size_t len = 0; len < blob.size(); ++len) {
-    std::istringstream is(blob.substr(0, len));
-    EXPECT_THROW(vf::util::read_crc_section(is, len, "test"),
-                 std::runtime_error)
+    const std::string torn = blob.substr(0, len);
+    vf::util::ByteReader in(torn, "test");
+    EXPECT_THROW((void)in.section(), std::runtime_error)
         << "truncated to " << len << " bytes";
   }
 }
 
 TEST_F(FaultTest, CrcSectionRejectsEveryBitFlip) {
-  std::ostringstream os;
-  vf::util::write_crc_section(os, std::string("payload"));
-  const std::string blob = os.str();
+  const std::string blob = framed_payload();
   for (std::size_t byte = 0; byte < blob.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string bad = blob;
       bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
-      std::istringstream is(bad);
-      EXPECT_THROW(vf::util::read_crc_section(is, blob.size(), "test"),
-                   std::runtime_error)
+      vf::util::ByteReader in(bad, "test");
+      EXPECT_THROW((void)in.section(), std::runtime_error)
           << "flip at byte " << byte << " bit " << bit;
     }
   }
 }
 
 TEST_F(FaultTest, ExpectEofRejectsTrailingBytes) {
-  std::istringstream trailing("x");
-  EXPECT_THROW(vf::util::expect_eof(trailing, "test"), std::runtime_error);
-  std::istringstream empty;
-  EXPECT_NO_THROW(vf::util::expect_eof(empty, "test"));
+  const std::string trailing = framed_payload() + "x";
+  vf::util::ByteReader in(trailing, "test");
+  (void)in.section();
+  EXPECT_THROW(in.expect_end(), std::runtime_error);
+  vf::util::ByteReader empty(std::string_view{}, "test");
+  EXPECT_NO_THROW(empty.expect_end());
+}
+
+TEST_F(FaultTest, ReadFileReadsWholeFileAndHonoursFailpoint) {
+  const std::string p = path("blob.bin");
+  const std::string content = framed_payload() + std::string(70000, 'z');
+  {
+    std::ofstream out(p, std::ios::binary);
+    out << content;
+  }
+  EXPECT_EQ(vf::util::read_file(p, "test", "test_read"), content);
+  EXPECT_THROW((void)vf::util::read_file(path("missing.bin"), "test",
+                                         "test_read"),
+               std::runtime_error);
+  fault::arm("test_read", {fault::Mode::Error});
+  EXPECT_THROW((void)vf::util::read_file(p, "test", "test_read"),
+               std::runtime_error);
 }
 
 // ---- ByteWriter / ByteReader ----------------------------------------------
