@@ -122,6 +122,34 @@ void BM_FusedDense(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedDense)->Arg(8192);
 
+// Per-layer roofline rows: each of the six paper-architecture dense layers
+// (23->512->256->128->64->16->4, ReLU on the hidden ones) through
+// fused_dense_forward on one engine tile of rows. items_per_second is
+// GFLOP/s per layer, to set against the host's FMA peak.
+void BM_DenseLayer(benchmark::State& state) {
+  std::vector<std::size_t> widths = vf::core::FcnnConfig{}.hidden;
+  widths.insert(widths.begin(),
+                static_cast<std::size_t>(vf::core::kFeatureDim));
+  widths.push_back(static_cast<std::size_t>(vf::core::kTargetDimGrad));
+  const auto layer = static_cast<std::size_t>(state.range(0));
+  const std::size_t rows = vf::core::ReconstructOptions{}.tile_size;
+  const std::size_t in = widths[layer], out = widths[layer + 1];
+  vf::nn::Matrix x(rows, in), w(in, out), bias(1, out), y;
+  vf::util::Rng rng(layer + 1);
+  for (auto& v : x.data()) v = rng.uniform(-1.0, 1.0);
+  for (auto& v : w.data()) v = rng.uniform(-0.1, 0.1);
+  for (auto& v : bias.data()) v = rng.uniform(-0.01, 0.01);
+  const bool relu = layer + 2 < widths.size();
+  for (auto _ : state) {
+    vf::nn::fused_dense_forward(x, w, bias, relu, y);
+    benchmark::DoNotOptimize(y.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * 2 * rows * in * out));
+}
+BENCHMARK(BM_DenseLayer)->DenseRange(0, 5);
+
 void BM_DelaunayBuild(benchmark::State& state) {
   auto pts = random_points(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {

@@ -45,13 +45,11 @@ void DenseLayer::backward(const Matrix& grad_output, Matrix& grad_input) {
                  grad_output.cols() == weights_.cols(),
              "DenseLayer::backward: grad shape != forward output shape");
   if (trainable_) {
-    // dW = x^T . dy ; db = column sums of dy. Accumulate across the batch.
-    Matrix wg, bg;
-    gemm_at_b(input_, grad_output, wg);
-    sum_rows(grad_output, bg);
+    // dW += x^T . dy ; db += column sums of dy, added straight into the
+    // gradient buffers (no per-batch product temporaries).
     ensure_grads();
-    axpy(1.0, wg, w_grad_);
-    axpy(1.0, bg, b_grad_);
+    gemm_at_b_add(input_, grad_output, w_grad_);
+    sum_rows_add(grad_output, b_grad_);
   }
   // dx = dy . W^T — always needed so deeper (possibly trainable) layers
   // receive their gradients even when this layer is frozen.

@@ -74,6 +74,9 @@ class Matrix {
 void gemm(const Matrix& a, const Matrix& b, Matrix& out);
 // out = a^T * b            (k x m)^T . (k x n) -> (m x n)
 void gemm_at_b(const Matrix& a, const Matrix& b, Matrix& out);
+// out += a^T * b           into an existing (m x n) out (gradient
+//                          accumulation; no temporary product)
+void gemm_at_b_add(const Matrix& a, const Matrix& b, Matrix& out);
 // out = a * b^T            (m x k) . (n x k)^T -> (m x n)
 void gemm_a_bt(const Matrix& a, const Matrix& b, Matrix& out);
 
@@ -82,6 +85,10 @@ void add_row_vector(Matrix& out, const Matrix& bias);
 
 /// bias(0, :) = sum over rows of grad (bias gradient reduction).
 void sum_rows(const Matrix& grad, Matrix& bias);
+
+/// bias(0, :) += sum over rows of grad, into an existing (1 x cols) bias;
+/// each column adds grad's rows in order.
+void sum_rows_add(const Matrix& grad, Matrix& bias);
 
 /// y = alpha * x + y, elementwise over equal-shaped matrices.
 void axpy(double alpha, const Matrix& x, Matrix& y);

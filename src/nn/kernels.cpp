@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "gemm_tile.hpp"
 #include "vf/obs/obs.hpp"
 #include "vf/util/aligned.hpp"
 #include "vf/util/contract.hpp"
@@ -25,125 +26,21 @@ constexpr std::size_t kParallelWork = 1 << 14;
 namespace detail {
 namespace {
 
-// Register tile: an MR x NR accumulator block of doubles. NR = 16 is two
-// AVX-512 vectors (four AVX2/NEON vectors) per row; with MR = 8 that is 16
-// vector accumulators — enough independent FMA chains to hide FMA latency
-// while keeping 16 FMAs per 10 load micro-ops in the inner step.
-constexpr std::size_t MR = 8;
-constexpr std::size_t NR = 16;
-// Cache blocking: the packed A block (MC x KC doubles = 192 KiB) targets
-// L2; one A micro-panel plus one B micro-panel (MR x KC + KC x NR = 36 KiB)
-// cycle through L1 inside the micro-kernel loop.
-constexpr std::size_t MC = 128;
+// Cache blocking around the shared tile engine (gemm_tile.hpp): the packed
+// B block (KC x the layer width, <= 768 KiB for the model's layers) sits
+// in L2 and streams past one MR x KC A micro-panel held in L1. KC also
+// fixes where each element's k sum is split into partial sums, so it is
+// part of the numerical contract, not just a tuning knob.
 constexpr std::size_t KC = 192;
 constexpr std::size_t NC = 4096;
-static_assert(MC % MR == 0);
-
-/// Pack op(A) rows [i0, i0+mc) x cols [p0, p0+kc) into contiguous MR x kc
-/// micro-panels (column-of-the-panel major), zero-padding the row
-/// remainder so the micro-kernel never branches on edges. Packing absorbs
-/// the transposed layout: when `trans`, A is stored (k x m).
-void pack_a(const double* a, std::size_t lda, bool trans, std::size_t i0,
-            std::size_t mc, std::size_t p0, std::size_t kc, double* dst) {
-  for (std::size_t ir = 0; ir < mc; ir += MR) {
-    const std::size_t mr = std::min(MR, mc - ir);
-    if (trans) {
-      for (std::size_t l = 0; l < kc; ++l) {
-        const double* src = a + (p0 + l) * lda + i0 + ir;
-        for (std::size_t i = 0; i < mr; ++i) dst[l * MR + i] = src[i];
-        for (std::size_t i = mr; i < MR; ++i) dst[l * MR + i] = 0.0;
-      }
-    } else {
-      for (std::size_t i = 0; i < mr; ++i) {
-        const double* src = a + (i0 + ir + i) * lda + p0;
-        for (std::size_t l = 0; l < kc; ++l) dst[l * MR + i] = src[l];
-      }
-      for (std::size_t i = mr; i < MR; ++i) {
-        for (std::size_t l = 0; l < kc; ++l) dst[l * MR + i] = 0.0;
-      }
-    }
-    dst += kc * MR;
-  }
-}
-
-/// Pack op(B) rows [p0, p0+kc) x cols [j0, j0+nc) into contiguous kc x NR
-/// micro-panels, zero-padding the column remainder. When `trans`, B is
-/// stored (n x k).
-void pack_b(const double* b, std::size_t ldb, bool trans, std::size_t p0,
-            std::size_t kc, std::size_t j0, std::size_t nc, double* dst) {
-  for (std::size_t jr = 0; jr < nc; jr += NR) {
-    const std::size_t nr = std::min(NR, nc - jr);
-    if (trans) {
-      for (std::size_t j = 0; j < nr; ++j) {
-        const double* src = b + (j0 + jr + j) * ldb + p0;
-        for (std::size_t l = 0; l < kc; ++l) dst[l * NR + j] = src[l];
-      }
-      for (std::size_t j = nr; j < NR; ++j) {
-        for (std::size_t l = 0; l < kc; ++l) dst[l * NR + j] = 0.0;
-      }
-    } else {
-      for (std::size_t l = 0; l < kc; ++l) {
-        const double* src = b + (p0 + l) * ldb + j0 + jr;
-        for (std::size_t j = 0; j < nr; ++j) dst[l * NR + j] = src[j];
-        for (std::size_t j = nr; j < NR; ++j) dst[l * NR + j] = 0.0;
-      }
-    }
-    dst += kc * NR;
-  }
-}
-
-/// MR x NR register-tile accumulation over one packed panel pair. The
-/// per-element k order matches the naive kernels; partial sums are
-/// re-associated only at Kc-panel boundaries (write_tile's accumulate),
-/// keeping the blocked path within a few ulps of the reference.
-void micro_kernel(std::size_t kc, const double* __restrict ap,
-                  const double* __restrict bp, double* __restrict acc) {
-  for (std::size_t l = 0; l < kc; ++l) {
-    const double* a = ap + l * MR;
-    const double* b = bp + l * NR;
-#pragma GCC unroll 8
-    for (std::size_t i = 0; i < MR; ++i) {
-      const double av = a[i];
-#pragma omp simd
-      for (std::size_t j = 0; j < NR; ++j) acc[i * NR + j] += av * b[j];
-    }
-  }
-}
-
-/// Write an accumulated tile back to C, applying the optional epilogue.
-/// `accumulate` adds to the partial sums from earlier Kc panels; `bias`
-/// (pre-offset to this tile's first column) and `relu` fire only on the
-/// final panel.
-void write_tile(const double* acc, double* c, std::size_t ldc, std::size_t mr,
-                std::size_t nr, bool accumulate, const double* bias,
-                bool relu) {
-  if (mr == MR && nr == NR && !accumulate && !bias && !relu) {
-    // Full-tile overwrite fast path (the common case of a single Kc panel).
-    for (std::size_t i = 0; i < MR; ++i) {
-      double* crow = c + i * ldc;
-#pragma omp simd
-      for (std::size_t j = 0; j < NR; ++j) crow[j] = acc[i * NR + j];
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < mr; ++i) {
-    double* crow = c + i * ldc;
-    for (std::size_t j = 0; j < nr; ++j) {
-      double v = acc[i * NR + j];
-      if (accumulate) v += crow[j];
-      if (bias) v += bias[j];
-      if (relu && v < 0.0) v = 0.0;
-      crow[j] = v;
-    }
-  }
-}
 
 }  // namespace
 
 void gemm_blocked(std::size_t m, std::size_t n, std::size_t k,
                   const double* a, std::size_t lda, bool a_trans,
                   const double* b, std::size_t ldb, bool b_trans, double* c,
-                  std::size_t ldc, const double* bias, bool relu) {
+                  std::size_t ldc, const double* bias, bool relu,
+                  bool accumulate) {
   // Leading dimensions are row strides of the *stored* operands: op(A) is
   // (m x k) but A is stored (k x m) when transposed, and likewise for B.
   VF_REQUIRE(lda >= (a_trans ? m : k), "gemm_blocked: lda below logical row");
@@ -158,7 +55,8 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k,
     // Degenerate inner dimension: the product is all zeros + epilogue.
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
-        double v = bias ? bias[j] : 0.0;
+        double v = accumulate ? c[i * ldc + j] : 0.0;
+        if (bias) v = accumulate ? v + bias[j] : bias[j];
         if (relu && v < 0.0) v = 0.0;
         c[i * ldc + j] = v;
       }
@@ -166,6 +64,7 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k,
     return;
   }
 
+  constexpr std::size_t NR = Tile<double>::NR;
   const bool threads =
       vf::util::thread_count() > 1 && m * n * k >= kParallelWork;
   const std::size_t max_nc = std::min(NC, n);
@@ -177,38 +76,21 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k,
     const std::size_t nc = std::min(NC, n - jc);
     for (std::size_t pc = 0; pc < k; pc += KC) {
       const std::size_t kc = std::min(KC, k - pc);
-      const bool first = pc == 0;
       const bool last = pc + kc == k;
       pack_b(b, ldb, b_trans, pc, kc, jc, nc, bpack.data());
-
-      const auto ic_blocks = static_cast<std::int64_t>((m + MC - 1) / MC);
-      // vf-par: per-thread-scratch — apack is thread-local; each ic-block
-      // writes a disjoint row band of C; bpack is read-only in the region.
-#pragma omp parallel if (threads)
-      {
-        vf::util::AlignedVector<double> apack(MC * kc);
-#pragma omp for schedule(static)
-        for (std::int64_t icb = 0; icb < ic_blocks; ++icb) {
-          const std::size_t ic = static_cast<std::size_t>(icb) * MC;
-          const std::size_t mc = std::min(MC, m - ic);
-          pack_a(a, lda, a_trans, ic, mc, pc, kc, apack.data());
-          for (std::size_t jr = 0; jr < nc; jr += NR) {
-            const std::size_t nr = std::min(NR, nc - jr);
-            const double* bp = bpack.data() + (jr / NR) * kc * NR;
-            for (std::size_t ir = 0; ir < mc; ir += MR) {
-              const std::size_t mr = std::min(MR, mc - ir);
-              const double* ap = apack.data() + (ir / MR) * kc * MR;
-              alignas(64) double acc[MR * NR] = {};
-              micro_kernel(kc, ap, bp, acc);
-              write_tile(acc, c + (ic + ir) * ldc + jc + jr, ldc, mr, nr,
-                         !first, last && bias ? bias + jc + jr : nullptr,
-                         last && relu);
-            }
-          }
-        }
-      }
+      // Later Kc panels add to the partial sums already in C; bias and
+      // ReLU fire only once the sum is complete.
+      const Epilogue<double> ep{.accumulate = accumulate || pc > 0,
+                                .bias = last && bias ? bias + jc : nullptr,
+                                .relu = last && relu};
+      sweep_block(m, nc, kc, a, lda, a_trans, pc, bpack.data(), c + jc, ldc,
+                  ep, threads);
     }
   }
+}
+
+GemmBlocking gemm_blocking() {
+  return {Tile<double>::MR, Tile<double>::NR, KC};
 }
 
 }  // namespace detail
@@ -224,7 +106,8 @@ void fused_dense_forward(const Matrix& input, const Matrix& weights,
   detail::gemm_blocked(input.rows(), weights.cols(), input.cols(),
                        input.data().data(), input.cols(), false,
                        weights.data().data(), weights.cols(), false,
-                       out.data().data(), out.cols(), bias.row(0), relu);
+                       out.data().data(), out.cols(), bias.row(0), relu,
+                       /*accumulate=*/false);
 }
 
 // ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& out) {
   detail::gemm_blocked(a.rows(), b.cols(), a.cols(), a.data().data(),
                        a.cols(), /*a_trans=*/false, b.data().data(), b.cols(),
                        /*b_trans=*/false, out.data().data(), out.cols(),
-                       nullptr, false);
+                       nullptr, false, /*accumulate=*/false);
 }
 
 void gemm_at_b(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -67,7 +67,17 @@ void gemm_at_b(const Matrix& a, const Matrix& b, Matrix& out) {
   detail::gemm_blocked(a.cols(), b.cols(), a.rows(), a.data().data(),
                        a.cols(), /*a_trans=*/true, b.data().data(), b.cols(),
                        /*b_trans=*/false, out.data().data(), out.cols(),
-                       nullptr, false);
+                       nullptr, false, /*accumulate=*/false);
+}
+
+void gemm_at_b_add(const Matrix& a, const Matrix& b, Matrix& out) {
+  check(a.rows() == b.rows(), "gemm_at_b_add: outer dims mismatch");
+  check(out.rows() == a.cols() && out.cols() == b.cols(),
+        "gemm_at_b_add: out shape mismatch");
+  detail::gemm_blocked(a.cols(), b.cols(), a.rows(), a.data().data(),
+                       a.cols(), /*a_trans=*/true, b.data().data(), b.cols(),
+                       /*b_trans=*/false, out.data().data(), out.cols(),
+                       nullptr, false, /*accumulate=*/true);
 }
 
 void gemm_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -77,7 +87,7 @@ void gemm_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
   detail::gemm_blocked(a.rows(), b.rows(), a.cols(), a.data().data(),
                        a.cols(), /*a_trans=*/false, b.data().data(), b.cols(),
                        /*b_trans=*/true, out.data().data(), out.cols(),
-                       nullptr, false);
+                       nullptr, false, /*accumulate=*/false);
 }
 
 void add_row_vector(Matrix& out, const Matrix& bias) {
@@ -98,6 +108,12 @@ void add_row_vector(Matrix& out, const Matrix& bias) {
 void sum_rows(const Matrix& grad, Matrix& bias) {
   bias.resize(1, grad.cols());
   bias.set_zero();
+  sum_rows_add(grad, bias);
+}
+
+void sum_rows_add(const Matrix& grad, Matrix& bias) {
+  check(bias.rows() == 1 && bias.cols() == grad.cols(),
+        "sum_rows_add: bias shape mismatch");
   double* b = bias.row(0);
   const std::size_t rows = grad.rows(), cols = grad.cols();
   // Parallelise over disjoint column chunks: each thread owns a slice of

@@ -6,12 +6,11 @@
 #include <cstring>
 #include <stdexcept>
 
-#include <omp.h>
-
 #if defined(__F16C__)
 #include <immintrin.h>
 #endif
 
+#include "gemm_tile.hpp"
 #include "vf/nn/dense.hpp"
 #include "vf/obs/obs.hpp"
 #include "vf/util/contract.hpp"
@@ -100,71 +99,14 @@ float fp16_decode(std::uint16_t h) {
 
 namespace {
 
-// fp32 register tile: 8 x 32 floats = 16 full-width SIMD accumulators,
-// mirroring the fp64 kernel's 8 x 16 geometry at twice the lanes. The MLP's
-// inner dimensions (<= 512) fit one panel, so there is no Kc blocking: each
-// tile accumulates the full dot product and fires the bias+ReLU epilogue in
-// the same pass.
-constexpr std::size_t QMR = 8;
-constexpr std::size_t QNR = 32;
-constexpr std::size_t QMC = 128;  // packed A row block (QMC x k floats)
+// The fp32 kernel is the shared tile engine (gemm_tile.hpp) at float
+// width. The MLP's inner dimensions (<= 512) fit one panel, so there is no
+// Kc blocking: each tile accumulates the full dot product and fires the
+// bias+ReLU epilogue in the same pass. Weight panels are packed QNR wide.
+constexpr std::size_t QNR = detail::Tile<float>::NR;
 
 // Below this many multiply-adds the fork/join cost dominates any speedup.
 constexpr std::size_t kParallelWork = 1 << 15;
-
-/// Pack rows [i0, i0+mc) of the row-major (m x k) activation block into
-/// contiguous QMR x k micro-panels, zero-padding the row remainder.
-void pack_a_f32(const float* a, std::size_t lda, std::size_t i0,
-                std::size_t mc, std::size_t k, float* dst) {
-  for (std::size_t ir = 0; ir < mc; ir += QMR) {
-    const std::size_t mr = std::min(QMR, mc - ir);
-    for (std::size_t i = 0; i < mr; ++i) {
-      const float* src = a + (i0 + ir + i) * lda;
-      for (std::size_t l = 0; l < k; ++l) dst[l * QMR + i] = src[l];
-    }
-    for (std::size_t i = mr; i < QMR; ++i) {
-      for (std::size_t l = 0; l < k; ++l) dst[l * QMR + i] = 0.0f;
-    }
-    dst += k * QMR;
-  }
-}
-
-void micro_kernel_f32(std::size_t k, const float* __restrict ap,
-                      const float* __restrict bp, float* __restrict acc) {
-  for (std::size_t l = 0; l < k; ++l) {
-    const float* a = ap + l * QMR;
-    const float* b = bp + l * QNR;
-#pragma GCC unroll 8
-    for (std::size_t i = 0; i < QMR; ++i) {
-      const float av = a[i];
-#pragma omp simd
-      for (std::size_t j = 0; j < QNR; ++j) acc[i * QNR + j] += av * b[j];
-    }
-  }
-}
-
-void write_tile_f32(const float* acc, float* c, std::size_t ldc,
-                    std::size_t mr, std::size_t nr, const float* bias,
-                    bool relu) {
-  if (mr == QMR && nr == QNR) {
-    for (std::size_t i = 0; i < QMR; ++i) {
-      float* crow = c + i * ldc;
-#pragma omp simd
-      for (std::size_t j = 0; j < QNR; ++j) {
-        float v = acc[i * QNR + j] + bias[j];
-        crow[j] = relu && v < 0.0f ? 0.0f : v;
-      }
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < mr; ++i) {
-    float* crow = c + i * ldc;
-    for (std::size_t j = 0; j < nr; ++j) {
-      float v = acc[i * QNR + j] + bias[j];
-      crow[j] = relu && v < 0.0f ? 0.0f : v;
-    }
-  }
-}
 
 /// C(m x n) = A(m x k, row-major) * Wpanels + bias, optional ReLU. Wpanels
 /// is the pre-packed (k x QNR)-panel weight layout built at quantization.
@@ -174,31 +116,9 @@ void sgemm_panels(std::size_t m, std::size_t n, std::size_t k,
   VF_OBS_COUNT("nn.quant.gemm_flops", 2 * m * n * k);
   const bool threads =
       vf::util::thread_count() > 1 && m * n * k >= kParallelWork;
-  const auto ic_blocks = static_cast<std::int64_t>((m + QMC - 1) / QMC);
-  // vf-par: per-thread-scratch — apack is thread-local; each ic-block
-  // writes a disjoint row band of C; the packed weights are read-only.
-#pragma omp parallel if (threads)
-  {
-    vf::util::AlignedVector<float> apack(QMC * k);
-#pragma omp for schedule(static)
-    for (std::int64_t icb = 0; icb < ic_blocks; ++icb) {
-      const std::size_t ic = static_cast<std::size_t>(icb) * QMC;
-      const std::size_t mc = std::min(QMC, m - ic);
-      pack_a_f32(a, k, ic, mc, k, apack.data());
-      for (std::size_t jr = 0; jr < n; jr += QNR) {
-        const std::size_t nr = std::min(QNR, n - jr);
-        const float* bp = wpanels + (jr / QNR) * k * QNR;
-        for (std::size_t ir = 0; ir < mc; ir += QMR) {
-          const std::size_t mr = std::min(QMR, mc - ir);
-          const float* ap = apack.data() + (ir / QMR) * k * QMR;
-          alignas(64) float acc[QMR * QNR] = {};
-          micro_kernel_f32(k, ap, bp, acc);
-          write_tile_f32(acc, c + (ic + ir) * n + jr, n, mr, nr, bias + jr,
-                         relu);
-        }
-      }
-    }
-  }
+  detail::sweep_block<float>(
+      m, n, k, a, k, /*a_trans=*/false, 0, wpanels, c, n,
+      {.accumulate = false, .bias = bias, .relu = relu}, threads);
 }
 
 /// Snap every value onto the fp16 grid (what a half-precision activation
